@@ -28,7 +28,6 @@ from .geometry import (
     y_residual,
     z_below,
 )
-from .interval import Interval, TriBool
 from .iarrays import IntervalArray
 from .packer import (
     DEFAULT_TOL,
@@ -79,7 +78,6 @@ __all__ = [
     "FailReason",
     "InputError",
     "Instance",
-    "Interval",
     "IntervalArray",
     "PackResult",
     "Packing",
@@ -92,7 +90,6 @@ __all__ = [
     "ProverConfig",
     "T",
     "T_inv",
-    "TriBool",
     "ValidationReport",
     "chord_width",
     "ell1",

@@ -6,44 +6,25 @@ F functions assemble those bounds over a whole packing state into a single
 scalar that exceeds 8/5 whenever the state could reject a square; proving
 that inequality over every admissible state is what certifies the packer.
 
-All formulas are kind-generic (floats, numpy arrays, Interval,
-IntervalArray).  Float calls enforce preconditions loudly; enclosure kinds
-evaluate both sides of undecided branches and hull the results, so bounds
-stay sound on boxes that straddle a case split.
+All formulas are kind-generic (floats, numpy arrays, IntervalArray).  Float
+calls enforce preconditions loudly; IntervalArray lanes evaluate both sides
+of undecided branches and hull the results, so bounds stay sound on boxes
+that straddle a case split.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import ContractError
 from .geometry import (
     S1_STAR_ENCLOSURE,
     T_inv,
+    _real,
     chord_width,
     segment_area_below,
     sigma,
     y_residual,
 )
 from .scalars import Numeric, branch_le, branch_lt, enclosure, lift, smax, smin, sqrt, square
-
-
-def _real(*values: object) -> bool:
-    return all(isinstance(v, (int, float)) for v in values)
-
-
-@dataclass(frozen=True)
-class SubcontainerParams:
-    """Arguments shared by the per-subcontainer bounds: top ordinate a,
-    height h, inscribed width w, and the side h_next that failed to fit."""
-
-    a: float
-    h: float
-    w: float
-    h_next: float
-
-    def bound(self) -> float:
-        return B4(self.a, self.h, self.w, self.h_next)
 
 
 def B1(h: Numeric, w: Numeric, h_next: Numeric) -> Numeric:

@@ -5,7 +5,9 @@ Four subcommands share one executable:
 ``pack``
     Read an instance file (one decimal side length per line), pack it into
     the unit disk, and write a versioned packing document plus an optional
-    SVG rendering.  Exit 0 on success, 2 when packing fails, 1 on bad input.
+    SVG rendering.  Exit 0 on success, 2 when packing fails, 3 when the
+    written packing fails its own validation, 1 on bad input (a NaN,
+    infinite or negative --tol included).
 ``verify``
     Re-validate a packing document independently of whoever produced it.
     Containment and overlap violations are listed on stderr and flip the
@@ -14,7 +16,8 @@ Four subcommands share one executable:
     Run inequality systems from the lemma catalog through the interval
     branch-and-prune prover.  Exit 0 only if every requested system is
     proved; 4 when any comes back undecided or disproved; 1 for an unknown
-    lemma name.
+    lemma name or a limit that means nothing (--workers below 1, a negative
+    --depth, a non-finite or non-positive --min-width).
 ``gen``
     Emit instance files: the two-square worst case (optionally inflated by
     --epsilon) or seeded random instances with a prescribed total area.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence, TextIO
@@ -261,6 +265,14 @@ def cmd_pack(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     _write_text(args.out, format_document(packing, report))
     if args.svg is not None:
         _write_text(args.svg, format_svg(packing))
+    if not report.ok:
+        print(
+            f"packing failed its own validation: {len(report.containment_violations)}"
+            f" containment and {len(report.overlap_violations)} overlap violations"
+            f" -> {args.out}",
+            file=err,
+        )
+        return EXIT_INVALID_PACKING
     print(
         f"packed {len(packing.placements)} squares (case {packing.case},"
         f" total area {packing.total_area:.6g}) -> {args.out}",
@@ -390,6 +402,21 @@ class _UsageError(Exception):
     pass
 
 
+def _limit(convert, ok, what: str):
+    """An argparse type that also refuses values outside a limit's meaning."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage, which would collide with the
     # pack-failure code; surface usage problems as exit 1 instead
@@ -415,9 +442,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("prove", help="run lemma systems through the interval prover")
     p.add_argument("--lemma", required=True, help="lemma name, or 'all'")
-    p.add_argument("--depth", type=int, default=None, help="override max split depth")
-    p.add_argument("--min-width", type=float, default=None, help="override min box width")
-    p.add_argument("--workers", type=int, default=None, help="override worker count")
+    p.add_argument(
+        "--depth", type=_limit(int, lambda v: v >= 0, ">= 0"), default=None,
+        help="override max split depth",
+    )
+    p.add_argument(
+        "--min-width", type=_limit(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+        default=None, help="override min box width",
+    )
+    p.add_argument(
+        "--workers", type=_limit(int, lambda v: v >= 1, ">= 1"), default=None,
+        help="override worker count",
+    )
     p.add_argument("--report", default=None, help="write a JSON report here")
     p.set_defaults(handler=cmd_prove)
 

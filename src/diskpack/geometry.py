@@ -3,8 +3,8 @@
 The unit disk is centered at the origin with y growing upward.  Every
 function here is written against the kind-generic helpers in scalars, so one
 formula body serves plain floats (packing), numpy arrays (bulk sampling) and
-interval kinds (verified enclosures).  Float arguments get strict domain
-checks; enclosure kinds clamp partial overshoot instead, which extends each
+IntervalArray lanes (verified enclosures).  Float arguments get strict domain
+checks; enclosures clamp partial overshoot instead, which extends each
 function continuously across the domain boundary and keeps slightly-too-wide
 boxes evaluable.
 """
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .interval import Interval
 from .scalars import (
     Numeric,
     acos,
@@ -27,22 +26,14 @@ from .scalars import (
     square,
 )
 
-_TWO = Interval.point(2.0)
-
 # Pocket regime threshold: sqrt((2 + sqrt(2)) / 3).  Below it the largest
 # square inscribed in a pocket rests on the pocket bottom; above it the
 # square centers vertically on the diameter and the pocket is used only down
-# to the square's bottom edge.
-S1_STAR_ENCLOSURE = ((_TWO + _TWO.sqrt()) / Interval.point(3.0)).sqrt()
-S1_STAR = S1_STAR_ENCLOSURE.midpoint
-
-# sqrt((11 + 6*sqrt(3)) / 13): the side above which the topmost square's
-# bottom corners leave the inscribed-square region.  Documented constant
-# only; no algorithm branch depends on it.
-S1_PRIME_ENCLOSURE = (
-    (Interval.point(11.0) + 6 * Interval.point(3.0).sqrt()) / Interval.point(13.0)
-).sqrt()
-S1_PRIME = S1_PRIME_ENCLOSURE.midpoint
+# to the square's bottom edge.  The enclosure is a pair of doubles (lo, hi)
+# around the exact value (tests/test_geometry.py proves lo < s1* < hi in
+# rational arithmetic); S1_STAR is their midpoint.
+S1_STAR_ENCLOSURE = (1.0668041935883539, 1.0668041935883545)
+S1_STAR = 1.066804193588354
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,7 +44,6 @@ class DiskConstants:
     critical_density: float
     worst_side: float
     s1_star: float
-    s1_prime: float
 
 
 CONSTANTS = DiskConstants(
@@ -61,7 +51,6 @@ CONSTANTS = DiskConstants(
     critical_density=8.0 / (5.0 * math.pi),
     worst_side=2.0 / math.sqrt(5.0),
     s1_star=S1_STAR,
-    s1_prime=S1_PRIME,
 )
 
 

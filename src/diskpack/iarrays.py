@@ -1,7 +1,7 @@
 """Vectorized interval arithmetic for batched box evaluation.
 
-Unlike the scalar Interval class, which detects exact results and widens only
-when rounding actually occurred, every operation here inflates each result
+This is the only interval kind: it evaluates every prover box and every
+enclosure the formula layer builds.  Every operation inflates each result
 endpoint outward by a fixed two-ulp relative margin plus a tiny absolute one.
 That over-covers the half-ulp rounding error of every IEEE operation with
 plain arithmetic, which runs several times faster than nextafter on large

@@ -399,9 +399,15 @@ def _result(
     return PackResult(False, None, failed, reason, tuple(trace))
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def pack_c1(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
     """Concentric container of side 1.388 plus four side pockets; requires
     every side at most 0.295."""
+    _check_tol(tol)
     inst = _instance(sides)
     order = _sorted_order(inst.sides)
     trace: "list[str]" = []
@@ -427,6 +433,7 @@ def pack_c1(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
 def pack_c2(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
     """Four largest squares into the quadrants of the inscribed square, the
     rest shelf packed into a container of side sqrt(2)/5 on top of it."""
+    _check_tol(tol)
     inst = _instance(sides)
     order = _sorted_order(inst.sides)
     trace: "list[str]" = []
@@ -450,6 +457,7 @@ def pack_c2(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
 
 def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
     """Topmost square plus pocket and subcontainer packing."""
+    _check_tol(tol)
     inst = _instance(sides)
     order = _sorted_order(inst.sides)
     s1 = inst.sides[order[0]]
@@ -482,7 +490,10 @@ def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
 
 def pack(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
     """Pack squares into the unit disk; guaranteed to succeed when the total
-    area is at most 8/5.  Placements are returned in input order."""
+    area is at most 8/5.  Placements are returned in input order.  tol must
+    be finite and >= 0 here, in pack_c1/2/3 and in validate; anything else
+    raises InputError."""
+    _check_tol(tol)
     inst = _instance(sides)
     if not inst.sides:
         return PackResult(True, Packing((), "C3", 0.0), None, None, ())
@@ -515,8 +526,7 @@ def validate(placements: Sequence[PlacedSquare], tol: float = DEFAULT_TOL) -> Va
     InputError.  The cost does not grow with the largest side, so a few
     large squares over many tiny ones stay near-linear (see
     _overlap_pairs)."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_tol(tol)
     n = len(placements)
     if n == 0:
         return ValidationReport(True, 0, (), (), 0.0)

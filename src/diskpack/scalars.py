@@ -1,16 +1,15 @@
 """Kind-generic numeric helpers.
 
-The geometric formulas are written once and evaluated over four operand
+The geometric formulas are written once and evaluated over three operand
 kinds: Python floats (the packing path), numpy float arrays (bulk real
-sampling), scalar Interval enclosures (constants and spot checks), and
-IntervalArray lanes (the prover hot path).  The helpers here dispatch on the
-operand kind so a formula body stays plain arithmetic plus sqrt/acos/min/max
-and an occasional two-way branch.
+sampling), and IntervalArray lanes (the prover's enclosures).  The helpers
+here dispatch on the operand kind so a formula body stays plain arithmetic
+plus sqrt/acos/min/max and an occasional two-way branch.
 
 Branches take the two outcomes as zero-argument callables.  On the float path
 only the chosen side runs, so expressions that would leave their domain on
-the dead side are never evaluated.  On enclosure paths an undecidable branch
-condition evaluates both sides and returns their hull, which contains every
+the dead side are never evaluated.  On the enclosure path a lane whose branch
+condition is undecidable gets the hull of both sides, which contains every
 value either side could take.
 """
 
@@ -22,14 +21,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .iarrays import IntervalArray
-from .interval import ENTIRE, Interval, TriBool
+from .iarrays import IntervalArray, _lohi
 
-Numeric = object  # float | np.ndarray | Interval | IntervalArray
+Numeric = object  # float | np.ndarray | IntervalArray
 
 
 def sqrt(x: Numeric) -> Numeric:
-    if isinstance(x, (IntervalArray, Interval)):
+    if isinstance(x, IntervalArray):
         return x.sqrt()
     if isinstance(x, np.ndarray):
         with np.errstate(invalid="ignore"):
@@ -40,7 +38,7 @@ def sqrt(x: Numeric) -> Numeric:
 
 
 def acos(x: Numeric) -> Numeric:
-    if isinstance(x, (IntervalArray, Interval)):
+    if isinstance(x, IntervalArray):
         return x.acos()
     if isinstance(x, np.ndarray):
         with np.errstate(invalid="ignore"):
@@ -51,7 +49,7 @@ def acos(x: Numeric) -> Numeric:
 
 
 def square(x: Numeric) -> Numeric:
-    if isinstance(x, (IntervalArray, Interval)):
+    if isinstance(x, IntervalArray):
         return x.square()
     return x * x
 
@@ -61,10 +59,6 @@ def smin(a: Numeric, b: Numeric) -> Numeric:
         return a.min_with(b)
     if isinstance(b, IntervalArray):
         return b.min_with(a)
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        ia = a if isinstance(a, Interval) else Interval.point(float(a))
-        ib = b if isinstance(b, Interval) else Interval.point(float(b))
-        return ia.min_with(ib)
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.minimum(a, b)
     return a if a < b else b
@@ -75,10 +69,6 @@ def smax(a: Numeric, b: Numeric) -> Numeric:
         return a.max_with(b)
     if isinstance(b, IntervalArray):
         return b.max_with(a)
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        ia = a if isinstance(a, Interval) else Interval.point(float(a))
-        ib = b if isinstance(b, Interval) else Interval.point(float(b))
-        return ia.max_with(ib)
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.maximum(a, b)
     return a if a > b else b
@@ -88,47 +78,20 @@ def lift(value: float, like: Numeric) -> Numeric:
     """A point constant of the same kind as ``like``."""
     if isinstance(like, IntervalArray):
         return IntervalArray.constant(float(value), float(value), like.shape)
-    if isinstance(like, Interval):
-        return Interval.point(float(value))
     return float(value)
 
 
-def enclosure(iv: Interval, like: Numeric) -> Numeric:
-    """An irrational constant, kind-matched to ``like``.
+def enclosure(pair: "tuple[float, float]", like: Numeric) -> Numeric:
+    """An irrational constant given by its enclosing pair of doubles
+    (lo, hi), kind-matched to ``like``.
 
-    On enclosure paths the full interval is kept; on real paths the midpoint
-    is the conventional double approximation.
+    On the enclosure path the full interval is kept; on real paths the
+    midpoint is the conventional double approximation.
     """
+    lo, hi = pair
     if isinstance(like, IntervalArray):
-        return IntervalArray.constant(iv.lo, iv.hi, like.shape)
-    if isinstance(like, Interval):
-        return iv
-    return iv.midpoint
-
-
-def _pair(value: Numeric) -> "tuple[object, object]":
-    if isinstance(value, (IntervalArray, Interval)):
-        return value.lo, value.hi
-    f = float(value)
-    return f, f
-
-
-def _interval_branch(
-    tri: TriBool, if_true: Callable[[], Interval], if_false: Callable[[], Interval]
-) -> Interval:
-    if tri is TriBool.CERTAINLY_TRUE:
-        return if_true()
-    if tri is TriBool.CERTAINLY_FALSE:
-        return if_false()
-    try:
-        a = if_true()
-    except DomainError:
-        a = ENTIRE
-    try:
-        b = if_false()
-    except DomainError:
-        b = ENTIRE
-    return Interval.hull_of(a, b)
+        return IntervalArray.constant(lo, hi, like.shape)
+    return 0.5 * (lo + hi)
 
 
 def _array_branch(
@@ -158,11 +121,8 @@ def branch_le(
 ) -> Numeric:
     """Evaluate ``if_true`` where lhs <= rhs, ``if_false`` elsewhere."""
     if isinstance(lhs, IntervalArray):
-        rlo, rhi = _pair(rhs)
+        rlo, rhi = _lohi(rhs)
         return _array_branch(lhs.hi <= rlo, lhs.lo > rhi, if_true, if_false)
-    if isinstance(lhs, Interval):
-        r = rhs if isinstance(rhs, Interval) else Interval.point(float(rhs))
-        return _interval_branch(lhs.tri_le(r), if_true, if_false)
     if isinstance(lhs, np.ndarray):
         return np.where(lhs <= rhs, if_true(), if_false())
     return if_true() if lhs <= rhs else if_false()
@@ -176,11 +136,8 @@ def branch_lt(
 ) -> Numeric:
     """Evaluate ``if_true`` where lhs < rhs, ``if_false`` elsewhere."""
     if isinstance(lhs, IntervalArray):
-        rlo, rhi = _pair(rhs)
+        rlo, rhi = _lohi(rhs)
         return _array_branch(lhs.hi < rlo, lhs.lo >= rhi, if_true, if_false)
-    if isinstance(lhs, Interval):
-        r = rhs if isinstance(rhs, Interval) else Interval.point(float(rhs))
-        return _interval_branch(lhs.tri_lt(r), if_true, if_false)
     if isinstance(lhs, np.ndarray):
         return np.where(lhs < rhs, if_true(), if_false())
     return if_true() if lhs < rhs else if_false()

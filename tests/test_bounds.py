@@ -9,10 +9,17 @@ from diskpack.bounds import B1, B2, B3, B4, B5, B6, E, F_MSC1, F_MSC2, F_SC, F_T
 from diskpack.errors import ContractError
 from diskpack.geometry import ell1, sigma
 from diskpack.iarrays import IntervalArray
-from diskpack.interval import Interval
 from diskpack.prover import lemma_catalog
 
 from fuzzers import hypothesis_samples
+
+
+def _lane(lo: float, hi: float) -> IntervalArray:
+    return IntervalArray(np.array([lo]), np.array([hi]))
+
+
+def _point(value: float) -> IntervalArray:
+    return _lane(value, value)
 
 
 def _system(name: str):
@@ -33,9 +40,9 @@ class TestB1:
             B1(1.0, 1.5, 0.1)
 
     def test_enclosure_kinds_do_not_raise_on_straddle(self):
-        w = Interval(1.5, 3.0)  # straddles w = 2h
-        out = B1(Interval.point(1.0), w, Interval.point(0.1))
-        assert out.lo <= out.hi
+        w = _lane(1.5, 3.0)  # straddles w = 2h
+        out = B1(_point(1.0), w, _point(0.1))
+        assert out.lo[0] <= out.hi[0]
 
 
 class TestB2:
@@ -52,8 +59,8 @@ class TestB2:
 
     def test_interval_straddling_branch_hulls_both_sides(self):
         # w spans the lone/pair boundary at h + h_next = 1.5.
-        out = B2(Interval.point(1.0), Interval(1.4, 1.6), Interval.point(0.5))
-        assert out.lo <= 1.0 and out.hi >= 1.25
+        out = B2(_point(1.0), _lane(1.4, 1.6), _point(0.5))
+        assert out.lo[0] <= 1.0 and out.hi[0] >= 1.25
 
 
 class TestB3B4:
@@ -86,8 +93,8 @@ class TestPocketCredit:
 
     def test_straddling_interval_hulls_zero_and_credit(self):
         sg = sigma(1.0)
-        out = E(Interval.point(1.0), Interval(sg - 0.01, sg + 0.01))
-        assert out.lo <= 0.0 and out.hi >= 0.83 * sg * sg * (1 - 1e-12)
+        out = E(_point(1.0), _lane(sg - 0.01, sg + 0.01))
+        assert out.lo[0] <= 0.0 and out.hi[0] >= 0.83 * sg * sg * (1 - 1e-12)
 
 
 class TestFTP:
@@ -102,9 +109,9 @@ class TestFTP:
             assert f2 <= 1.0 + 1e-12
 
     def test_interval_hull_near_branch_point_stays_bounded(self):
-        f1, f2 = F_TP(Interval(1.066, 1.068))  # straddles the sigma branch
-        assert f1.hi <= 1.0 + 1e-9
-        assert f2.hi <= 1.0 + 1e-9
+        f1, f2 = F_TP(_lane(1.066, 1.068))  # straddles the sigma branch
+        assert f1.hi[0] <= 1.0 + 1e-9
+        assert f2.hi[0] <= 1.0 + 1e-9
 
 
 class TestFSC:
@@ -137,7 +144,8 @@ class TestFSC:
 
 
 class TestKindCoherence:
-    """Float evaluation always lands inside both enclosure evaluations."""
+    """Float evaluation always lands inside the enclosure evaluations, of
+    the whole batch and of each state as a one-lane IntervalArray."""
 
     @pytest.mark.parametrize("name", ["LEMMA_SC1", "LEMMA_SC4", "LEMMA_SC6_SIGMA"])
     def test_f_sc(self, name):
@@ -158,12 +166,12 @@ class TestKindCoherence:
         for i in pts[:8]:
             iv = F_SC(
                 k,
-                Interval.point(float(s["s1"][i])),
-                [Interval.point(float(s[f"h{i2+1}"][i])) for i2 in range(k)],
-                Interval.point(float(s["sn"][i])),
+                _point(float(s["s1"][i])),
+                [_point(float(s[f"h{i2+1}"][i])) for i2 in range(k)],
+                _point(float(s["sn"][i])),
                 include_e,
             )
-            assert iv.lo <= f[i] <= iv.hi
+            assert iv.lo[0] <= f[i] <= iv.hi[0]
 
     def test_f_msc1(self):
         s = hypothesis_samples(_system("LEMMA_MSC_NEG"), 25, seed=13)
@@ -171,8 +179,8 @@ class TestKindCoherence:
         ia = F_MSC1(*[IntervalArray.from_point(s[n]) for n in ("s1", "h1", "h2", "h3", "h4")])
         assert np.all(ia.lo <= f) and np.all(f <= ia.hi)
         for i in range(8):
-            iv = F_MSC1(*[Interval.point(float(s[n][i])) for n in ("s1", "h1", "h2", "h3", "h4")])
-            assert iv.lo <= f[i] <= iv.hi
+            iv = F_MSC1(*[_point(float(s[n][i])) for n in ("s1", "h1", "h2", "h3", "h4")])
+            assert iv.lo[0] <= f[i] <= iv.hi[0]
 
     def test_f_msc2(self):
         names = ("s1", "h1", "h2", "h3", "h_jnext", "delta_y")
@@ -181,12 +189,12 @@ class TestKindCoherence:
         ia = F_MSC2(*[IntervalArray.from_point(s[n]) for n in names])
         assert np.all(ia.lo <= f) and np.all(f <= ia.hi)
         for i in range(8):
-            iv = F_MSC2(*[Interval.point(float(s[n][i])) for n in names])
-            assert iv.lo <= f[i] <= iv.hi
+            iv = F_MSC2(*[_point(float(s[n][i])) for n in names])
+            assert iv.lo[0] <= f[i] <= iv.hi[0]
 
     def test_f_tp(self):
         for s1 in np.linspace(0.3, 1.25, 40):
             f1, f2 = F_TP(float(s1))
-            iv1, iv2 = F_TP(Interval.point(float(s1)))
-            assert iv1.lo <= f1 <= iv1.hi
-            assert iv2.lo <= f2 <= iv2.hi
+            iv1, iv2 = F_TP(_point(float(s1)))
+            assert iv1.lo[0] <= f1 <= iv1.hi[0]
+            assert iv2.lo[0] <= f2 <= iv2.hi[0]

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from diskpack import cli
 from diskpack.cli import (
     EXIT_INPUT,
     EXIT_INVALID_PACKING,
@@ -24,7 +25,7 @@ from diskpack.cli import (
 )
 from diskpack.errors import ParseError
 from diskpack.geometry import PlacedSquare
-from diskpack.packer import Instance, Packing, validate
+from diskpack.packer import Instance, Packing, PackResult, validate
 
 
 def _doc(placements, case="C3"):
@@ -184,14 +185,25 @@ class TestPackVerifyFlow:
         assert main(["verify", str(doc), f"--tol={tol}"]) == EXIT_INPUT
         assert "tol must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
     def test_pack_writes_nothing_under_meaningless_tol(self, tmp_path, tol):
-        # pack places the squares, then its own validation refuses the tol
+        # pack refuses the tol before placing anything
         inst = tmp_path / "inst.txt"
         inst.write_text("0.5\n0.5\n")
         out = tmp_path / "out.txt"
         assert main(["pack", str(inst), "--out", str(out), f"--tol={tol}"]) == EXIT_INPUT
         assert not out.exists()
+
+    def test_pack_never_exits_ok_on_a_packing_it_rejects(self, tmp_path, monkeypatch, capsys):
+        p = PlacedSquare(-0.25, -0.25, 0.5)
+        overlapping = PackResult(True, Packing((p, p), "C3", 0.5), None, None, ())
+        monkeypatch.setattr(cli, "pack", lambda inst, tol: overlapping)
+        inst = tmp_path / "inst.txt"
+        inst.write_text("0.5\n0.5\n")
+        out = tmp_path / "out.txt"
+        assert main(["pack", str(inst), "--out", str(out)]) == EXIT_INVALID_PACKING
+        assert "failed its own validation" in capsys.readouterr().err
+        assert "validation violations" in out.read_text()
 
 
 class TestSvg:
@@ -246,6 +258,26 @@ class TestProve:
         assert data["all_proved"] is False
         assert data["lemmas"][0]["status"] == "undecided"
         assert data["lemmas"][0]["max_depth_reached"] <= 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--workers", "-2"),
+            ("--depth", "-3"),
+            ("--min-width", "0"),
+            ("--min-width", "-1e-4"),
+            ("--min-width", "nan"),
+            ("--min-width", "inf"),
+        ],
+    )
+    def test_nonsense_limits_refused_before_search(self, monkeypatch, capsys, flag, value):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr(cli, "prove", no_search)
+        assert main(["prove", "--lemma", "LEMMA_TP1", f"{flag}={value}"]) == EXIT_INPUT
+        assert flag in capsys.readouterr().err
 
 
 class TestGen:

@@ -8,6 +8,7 @@ predicates and quadrature rather than from the closed forms under test.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -79,9 +80,26 @@ class TestFrozenReferences:
 
     def test_s1_star(self) -> None:
         assert S1_STAR == pytest.approx(FROZEN["s1_star"], abs=5e-16)
-        assert S1_STAR_ENCLOSURE.lo <= FROZEN["s1_star"] <= S1_STAR_ENCLOSURE.hi
+        lo, hi = S1_STAR_ENCLOSURE
+        assert lo <= FROZEN["s1_star"] <= hi
         # closed form of the crossover: sqrt((2 + sqrt(2)) / 3)
         assert S1_STAR == pytest.approx(math.sqrt((2 + math.sqrt(2)) / 3), abs=1e-15)
+
+
+class TestPinnedS1Star:
+    def test_enclosure_contains_exact_value(self) -> None:
+        # s* = sqrt((2 + sqrt(2)) / 3), so 3 s*^2 - 2 = sqrt(2).  For x > 0
+        # with 3 x^2 - 2 > 0, x < s* iff (3 x^2 - 2)^2 < 2.  Exact rationals
+        # only: no rounding enters the argument.
+        lo, hi = (Fraction(v) for v in S1_STAR_ENCLOSURE)
+        assert lo > 0
+        assert 3 * lo**2 - 2 > 0
+        assert (3 * lo**2 - 2) ** 2 < 2
+        assert (3 * hi**2 - 2) ** 2 > 2
+
+    def test_s1_star_is_the_midpoint(self) -> None:
+        lo, hi = S1_STAR_ENCLOSURE
+        assert 0.5 * (lo + hi) == S1_STAR
 
 
 class TestAnchorValues:

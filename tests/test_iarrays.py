@@ -1,13 +1,68 @@
-"""Vectorized interval arrays: construction, soundness, poisoning."""
+"""Vectorized interval arrays: construction, soundness, poisoning.
+
+Soundness oracle: rational arithmetic (fractions.Fraction) is exact for
++, -, *, /, square of double endpoints, and mpmath at 40 digits stands in
+for sqrt/acos, so every containment assertion compares a lane's endpoints
+against the true real value rather than another float computation.
+"""
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from diskpack.iarrays import IntervalArray
 
 from fuzzers import interval_containment_fuzz
+
+finite = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False)
+positive = st.floats(min_value=1e-8, max_value=1e8)
+
+TINY = 2.2250738585072014e-308  # smallest normal
+ONE_ULP = (1.0, math.nextafter(1.0, 2.0))
+# Products below 2^-968, where a double's rounding error drops under the
+# subnormal spacing.
+UNDER_A = (math.ldexp(1 + 2**-52, -500),) * 2
+UNDER_B = (math.ldexp(1 + 2**-52, -510),) * 2
+
+
+@st.composite
+def pairs(draw: st.DrawFn) -> "tuple[float, float]":
+    a = draw(finite)
+    b = draw(finite)
+    return min(a, b), max(a, b)
+
+
+@st.composite
+def nonzero_pairs(draw: st.DrawFn) -> "tuple[float, float]":
+    a = draw(positive)
+    b = draw(positive)
+    lo, hi = min(a, b), max(a, b)
+    return (lo, hi) if draw(st.booleans()) else (-hi, -lo)
+
+
+def lane(pair: "tuple[float, float]") -> IntervalArray:
+    return IntervalArray(np.array([pair[0]]), np.array([pair[1]]))
+
+
+def exact_points(pair: "tuple[float, float]") -> "list[Fraction]":
+    lo, hi = Fraction(pair[0]), Fraction(pair[1])
+    return [lo, hi, (lo + hi) / 2]
+
+
+def assert_contains(r: IntervalArray, value: Fraction) -> None:
+    lo, hi = float(r.lo[0]), float(r.hi[0])
+    assert Fraction(lo) <= value <= Fraction(hi), (lo, hi, value)
+
+
+def assert_contains_mp(r: IntervalArray, value: mp.mpf) -> None:
+    assert mp.mpf(float(r.lo[0])) <= value <= mp.mpf(float(r.hi[0])), (r, value)
 
 
 class TestConstruction:
@@ -134,3 +189,93 @@ class TestContainmentFuzz:
     def test_reseeded_runs_stay_clean(self, seed):
         _, violations = interval_containment_fuzz(seed=seed, lanes=2000)
         assert violations == 0
+
+
+class TestExactSoundness:
+    """Every lane encloses the exact image of every point of its operands."""
+
+    @given(pairs(), pairs())
+    @example((0.0, 0.0), (0.0, 0.0))
+    @example(ONE_ULP, ONE_ULP)
+    @example(UNDER_A, UNDER_B)
+    @example((5e-324, 5e-324), (-5e-324, -5e-324))
+    def test_add_sub_mul(self, x, y) -> None:
+        ix, iy = lane(x), lane(y)
+        for opn, r in (("add", ix + iy), ("sub", ix - iy), ("mul", ix * iy)):
+            for p in exact_points(x):
+                for q in exact_points(y):
+                    z = {"add": p + q, "sub": p - q, "mul": p * q}[opn]
+                    assert_contains(r, z)
+
+    @given(pairs(), nonzero_pairs())
+    @example((0.0, 0.0), ONE_ULP)
+    @example(ONE_ULP, ONE_ULP)
+    @example((TINY, 1.0), (-1e-8, -1e-8))
+    @example(UNDER_A, (3.0, 3.0))
+    def test_div(self, x, y) -> None:
+        r = lane(x) / lane(y)
+        for p in exact_points(x):
+            for q in exact_points(y):
+                assert_contains(r, p / q)
+
+    @given(pairs())
+    @example((0.0, 0.0))
+    @example(ONE_ULP)
+    @example(UNDER_A)
+    @example((-5e-324, 5e-324))
+    def test_square_neg(self, x) -> None:
+        ix = lane(x)
+        sq, neg = ix.square(), -ix
+        for p in exact_points(x):
+            assert_contains(sq, p * p)
+            assert_contains(neg, -p)
+
+    @given(pairs(), pairs())
+    @example((0.0, 0.0), (0.0, 0.0))
+    @example(ONE_ULP, (1.0, 1.0))
+    def test_min_max_with(self, x, y) -> None:
+        ix, iy = lane(x), lane(y)
+        mn, mx = ix.min_with(iy), ix.max_with(iy)
+        for p in exact_points(x):
+            for q in exact_points(y):
+                assert_contains(mn, min(p, q))
+                assert_contains(mx, max(p, q))
+
+    @given(pairs(), finite)
+    @example((0.0, 0.0), 0.0)
+    @example(ONE_ULP, 3.0)
+    @example(UNDER_A, UNDER_B[0])
+    def test_scalar_operands(self, x, c) -> None:
+        ix = lane(x)
+        cases = [
+            (ix + c, lambda p: p + Fraction(c)),
+            (c * ix, lambda p: Fraction(c) * p),
+            (c - ix, lambda p: Fraction(c) - p),
+        ]
+        if abs(c) >= 1e-200:  # keeps the quotient finite
+            cases.append((ix / c, lambda p: p / Fraction(c)))
+        for r, f in cases:
+            for p in exact_points(x):
+                assert_contains(r, f(p))
+
+    @given(st.floats(min_value=0.0, max_value=1e8), st.floats(min_value=0.0, max_value=1e8))
+    @example(0.0, 0.0)
+    @example(*ONE_ULP)
+    @example(5e-324, TINY)
+    def test_sqrt(self, a: float, b: float) -> None:
+        lo, hi = min(a, b), max(a, b)
+        r = lane((lo, hi)).sqrt()
+        with mp.workdps(40):
+            for p in (lo, hi):
+                assert_contains_mp(r, mp.sqrt(mp.mpf(p)))
+
+    @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0))
+    @example(0.0, 0.0)
+    @example(math.nextafter(1.0, 0.0), 1.0)
+    @example(-1.0, math.nextafter(-1.0, 0.0))
+    def test_acos(self, a: float, b: float) -> None:
+        lo, hi = min(a, b), max(a, b)
+        r = lane((lo, hi)).acos()
+        with mp.workdps(40):
+            for p in (lo, hi):
+                assert_contains_mp(r, mp.acos(mp.mpf(p)))

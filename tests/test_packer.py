@@ -17,6 +17,9 @@ from diskpack.packer import (
     gen_random,
     gen_worst_case,
     pack,
+    pack_c1,
+    pack_c2,
+    pack_c3,
     refined_shelf_place,
     shelf_pack,
     validate,
@@ -146,6 +149,13 @@ class TestValidateSynthetic:
             validate([PlacedSquare(0.0, 0.0, 0.1)], tol)
         with pytest.raises(InputError):
             validate([], tol)
+        with pytest.raises(InputError):
+            pack([0.5, 0.5], tol)
+        with pytest.raises(InputError):
+            pack([], tol)
+        for pack_case in (pack_c1, pack_c2, pack_c3):
+            with pytest.raises(InputError):
+                pack_case([0.2] * 4, tol)
 
 
 def _assert_matches_brute_force(placements, tol):

@@ -9,7 +9,6 @@ import pytest
 
 from diskpack.errors import DomainError
 from diskpack.iarrays import IntervalArray
-from diskpack.interval import Interval
 from diskpack.scalars import (
     acos,
     branch_le,
@@ -31,8 +30,6 @@ class TestElementaryDispatch:
     def test_sqrt_per_kind(self):
         assert sqrt(4.0) == 2.0
         assert np.allclose(sqrt(np.array([4.0, 9.0])), [2.0, 3.0])
-        iv = sqrt(Interval(4.0, 9.0))
-        assert iv.lo <= 2.0 and iv.hi >= 3.0
         ia = sqrt(_arr([4.0], [9.0]))
         assert ia.lo[0] <= 2.0 and ia.hi[0] >= 3.0
 
@@ -47,8 +44,6 @@ class TestElementaryDispatch:
     def test_acos_per_kind(self):
         assert acos(1.0) == 0.0
         assert np.allclose(acos(np.array([1.0, -1.0])), [0.0, math.pi])
-        iv = acos(Interval(0.0, 1.0))
-        assert iv.lo <= 0.0 and iv.hi >= math.pi / 2
         ia = acos(_arr([0.0], [1.0]))
         assert ia.lo[0] <= 0.0 and ia.hi[0] >= math.pi / 2
 
@@ -59,7 +54,6 @@ class TestElementaryDispatch:
     def test_square_per_kind(self):
         assert square(-3.0) == 9.0
         assert np.array_equal(square(np.array([-3.0])), np.array([9.0]))
-        assert square(Interval(-3.0, 2.0)).lo <= 0.0
         assert square(_arr([-3.0], [2.0])).lo[0] == 0.0
 
     def test_smin_smax_per_kind(self):
@@ -67,37 +61,34 @@ class TestElementaryDispatch:
         a = np.array([1.0, 5.0])
         assert np.array_equal(smin(a, 2.0), np.array([1.0, 2.0]))
         assert np.array_equal(smax(a, 2.0), np.array([2.0, 5.0]))
-        iv = smin(Interval(0.0, 3.0), 1.0)
-        assert iv.lo <= 0.0 and iv.hi >= 1.0
-        iv = smax(Interval(0.0, 3.0), Interval(1.0, 2.0))
-        assert iv.lo >= 1.0 - 1e-15 and iv.hi >= 3.0
+        ia = smin(_arr([0.0], [3.0]), 1.0)
+        assert ia.lo[0] <= 0.0 and ia.hi[0] >= 1.0
+        ia = smax(_arr([0.0], [3.0]), _arr([1.0], [2.0]))
+        assert ia.lo[0] >= 1.0 - 1e-15 and ia.hi[0] >= 3.0
         ia = smin(2.0, _arr([1.0, 3.0], [1.0, 3.0]))
         assert ia.hi[0] <= 1.0 + 1e-15 and ia.hi[1] <= 2.0 + 1e-15
 
     def test_mixed_scalar_interval_minmax_symmetry(self):
-        a = Interval(0.0, 1.0)
+        a = _arr([0.0], [1.0])
         left = smin(a, 0.5)
         right = smin(0.5, a)
-        assert left.lo == right.lo and left.hi == right.hi
+        assert left.lo[0] == right.lo[0] and left.hi[0] == right.hi[0]
 
 
 class TestLiftAndEnclosure:
     def test_lift_matches_kind(self):
         assert lift(2.5, 1.0) == 2.5
-        assert isinstance(lift(2.5, Interval(0.0, 1.0)), Interval)
         la = lift(2.5, _arr([0.0, 0.0], [1.0, 1.0]))
         assert isinstance(la, IntervalArray) and la.shape == (2,)
         assert np.all(la.lo == 2.5) and np.all(la.hi == 2.5)
 
     def test_enclosure_keeps_interval_on_enclosure_paths(self):
-        iv = Interval(1.41, 1.42)
-        assert enclosure(iv, Interval(0.0, 1.0)) is iv
-        ia = enclosure(iv, _arr([0.0], [1.0]))
-        assert ia.lo[0] == 1.41 and ia.hi[0] == 1.42
+        ia = enclosure((1.41, 1.42), _arr([0.0, 0.0], [1.0, 1.0]))
+        assert ia.shape == (2,)
+        assert np.all(ia.lo == 1.41) and np.all(ia.hi == 1.42)
 
     def test_enclosure_midpoint_on_float_path(self):
-        iv = Interval(1.0, 3.0)
-        assert enclosure(iv, 0.5) == 2.0
+        assert enclosure((1.0, 3.0), 0.5) == 2.0
 
 
 class TestFloatBranch:
@@ -117,30 +108,32 @@ class TestFloatBranch:
 
 
 class TestIntervalBranch:
+    """One-lane IntervalArray branches."""
+
     def test_certain_side_short_circuits(self):
         def boom():
             raise AssertionError("dead side evaluated")
 
-        out = branch_le(Interval(0.0, 1.0), 2.0, lambda: Interval.point(5.0), boom)
-        assert out.lo == 5.0
-        out = branch_lt(Interval(3.0, 4.0), 2.0, boom, lambda: Interval.point(7.0))
-        assert out.hi == 7.0
+        out = branch_le(_arr([0.0], [1.0]), 2.0, lambda: _arr([5.0], [5.0]), boom)
+        assert out.lo[0] == 5.0
+        out = branch_lt(_arr([3.0], [4.0]), 2.0, boom, lambda: _arr([7.0], [7.0]))
+        assert out.hi[0] == 7.0
 
     def test_unknown_returns_hull_of_both_sides(self):
         out = branch_le(
-            Interval(0.0, 2.0), 1.0,
-            lambda: Interval.point(-1.0),
-            lambda: Interval.point(4.0),
+            _arr([0.0], [2.0]), 1.0,
+            lambda: _arr([-1.0], [-1.0]),
+            lambda: _arr([4.0], [4.0]),
         )
-        assert out.lo <= -1.0 and out.hi >= 4.0
+        assert out.lo[0] <= -1.0 and out.hi[0] >= 4.0
 
-    def test_unknown_with_domain_error_side_widens_to_entire(self):
+    def test_unknown_with_out_of_domain_side_poisons_lane(self):
         out = branch_le(
-            Interval(-1.0, 1.0), 0.0,
-            lambda: sqrt(Interval.point(-2.0)),  # raises DomainError
-            lambda: Interval.point(1.0),
+            _arr([-1.0], [1.0]), 0.0,
+            lambda: sqrt(_arr([-2.0], [-2.0])),  # poisoned, never raises
+            lambda: _arr([1.0], [1.0]),
         )
-        assert math.isinf(out.lo) and math.isinf(out.hi)
+        assert out.poisoned().all()
 
 
 class TestArrayBranch:
@@ -169,7 +162,7 @@ class TestArrayBranch:
     def test_branch_against_interval_rhs(self):
         x = _arr([0.0], [0.5])
         out = branch_lt(
-            x, Interval(0.6, 0.7),
+            x, _arr([0.6], [0.7]),
             lambda: IntervalArray.constant(1.0, 1.0, 1),
             lambda: IntervalArray.constant(2.0, 2.0, 1),
         )
