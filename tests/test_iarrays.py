@@ -269,6 +269,26 @@ class TestExactSoundness:
             for p in (lo, hi):
                 assert_contains_mp(r, mp.sqrt(mp.mpf(p)))
 
+    @given(st.floats(min_value=5e-324, max_value=1e8), st.floats(min_value=0.0, max_value=1e8))
+    @example(1.0, 4.0)
+    @example(5e-324, 0.0)
+    def test_sqrt_clamps_partial_domain(self, a: float, b: float) -> None:
+        # [-a, b] straddles sqrt's domain edge: the lane keeps the
+        # non-negative part, [0, sqrt(b)], instead of poisoning
+        r = lane((-a, b)).sqrt()
+        assert not r.poisoned().any()
+        assert r.lo[0] == 0.0
+        with mp.workdps(40):
+            assert_contains_mp(r, mp.sqrt(mp.mpf(b)))
+
+    def test_rounding_near_underflow_is_caught(self) -> None:
+        # products just above the smallest normal, whose rounding error
+        # lies below the subnormal spacing
+        a, b = UNDER_A[0], UNDER_B[0]
+        assert_contains(lane(UNDER_A) * lane(UNDER_B), Fraction(a) * Fraction(b))
+        r = lane((TINY, 1.0)) / lane((-1e-8, -1e-8))
+        assert_contains(r, Fraction(TINY) / Fraction(-1e-8))
+
     @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0))
     @example(0.0, 0.0)
     @example(math.nextafter(1.0, 0.0), 1.0)
