@@ -7,17 +7,18 @@ Four subcommands share one executable:
     the unit disk, and write a versioned packing document plus an optional
     SVG rendering.  Exit 0 on success, 2 when packing fails, 3 when the
     written packing fails its own validation, 1 on bad input (a NaN,
-    infinite or negative --tol included).
+    infinite or negative --tol, or one above 1e-6, included).
 ``verify``
     Re-validate a packing document independently of whoever produced it.
     Containment and overlap violations are listed on stderr and flip the
-    exit code to 3; unparseable documents exit 1.
+    exit code to 3; unparseable documents, and a --tol that pack refuses,
+    exit 1.
 ``prove``
     Run inequality systems from the lemma catalog through the interval
     branch-and-prune prover.  Exit 0 only if every requested system is
     proved; 4 when any comes back undecided or disproved; 1 for an unknown
-    lemma name or a limit that means nothing (--workers below 1, a negative
-    --depth, a non-finite or non-positive --min-width).
+    lemma name or a limit that means nothing (a negative --depth, a
+    non-finite or non-positive --min-width).
 ``gen``
     Emit instance files: the two-square worst case (optionally inflated by
     --epsilon) or seeded random instances with a prescribed total area.
@@ -309,8 +310,6 @@ def _prove_config(system_default: Optional[ProverConfig], args: argparse.Namespa
         cfg = replace(cfg, max_depth=args.depth)
     if args.min_width is not None:
         cfg = replace(cfg, min_width=args.min_width)
-    if args.workers is not None:
-        cfg = replace(cfg, worker_count=args.workers)
     return cfg
 
 
@@ -449,10 +448,6 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--min-width", type=_limit(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
         default=None, help="override min box width",
-    )
-    p.add_argument(
-        "--workers", type=_limit(int, lambda v: v >= 1, ">= 1"), default=None,
-        help="override worker count",
     )
     p.add_argument("--report", default=None, help="write a JSON report here")
     p.set_defaults(handler=cmd_prove)

@@ -48,7 +48,10 @@ from .geometry import (
 )
 
 DEFAULT_TOL = 1e-9
-TRACE_LIMIT = 10_000
+# A tolerance is slack for roundoff, not for geometry: the validator lets
+# squares overlap by up to 2·tol and poke out of the disk by tol, so a tol
+# near a square's side would pass overlapping or escaping placements.
+MAX_TOL = 1e-6
 
 _C1_CONTAINER = 1.388
 _C1_POCKET = 0.295
@@ -101,7 +104,6 @@ class PackResult:
     packing: Optional[Packing]
     failed_index: Optional[int]
     reason: Optional[FailReason]
-    trace: "tuple[str, ...]"
 
 
 def refined_shelf_place(
@@ -322,21 +324,13 @@ class PackState:
     geo: PocketGeometry
     pockets: "list[_Pocket]"
     subcontainers: "list[_Subcontainer]"
-    trace: "list[str]"
-
-    def note(self, text: str) -> None:
-        if len(self.trace) < TRACE_LIMIT:
-            self.trace.append(text)
-        elif len(self.trace) == TRACE_LIMIT:
-            self.trace.append("... trace truncated")
 
 
 def top_pack_try(state: PackState, side: float) -> Optional[PlacedSquare]:
     """Try the left then the right pocket beside the top square."""
-    for pocket, name in zip(state.pockets, ("pocket-left", "pocket-right")):
+    for pocket in state.pockets:
         sq = pocket.try_place(side)
         if sq is not None:
-            state.note(f"side {side:.9g} -> {name} at ({sq.x:.9g}, {sq.y:.9g})")
             return sq
     return None
 
@@ -346,10 +340,6 @@ def bottom_pack(state: PackState, side: float) -> Optional[PlacedSquare]:
     if state.subcontainers:
         sq = state.subcontainers[-1].try_place(side)
         if sq is not None:
-            state.note(
-                f"side {side:.9g} -> subcontainer {len(state.subcontainers) - 1}"
-                f" at ({sq.x:.9g}, {sq.y:.9g})"
-            )
             return sq
         top_new = state.subcontainers[-1].bottom
     else:
@@ -363,10 +353,6 @@ def bottom_pack(state: PackState, side: float) -> Optional[PlacedSquare]:
     if sq is None:
         return None
     state.subcontainers.append(sub)
-    state.note(
-        f"side {side:.9g} -> new subcontainer {len(state.subcontainers) - 1}"
-        f" at ({sq.x:.9g}, {sq.y:.9g})"
-    )
     return sq
 
 
@@ -384,24 +370,23 @@ def _result(
     case: str,
     sides: Sequence[float],
     by_index: "dict[int, PlacedSquare]",
-    trace: "list[str]",
     failed: Optional[int],
 ) -> PackResult:
     total = sum(s * s for s in sides)
     if failed is None:
         placements = tuple(by_index[i] for i in range(len(sides)))
-        return PackResult(True, Packing(placements, case, total), None, None, tuple(trace))
+        return PackResult(True, Packing(placements, case, total), None, None)
     reason = (
         FailReason.AREA_EXCEEDS_GUARANTEE
         if total > CONSTANTS.critical_area
         else FailReason.NO_PLACEMENT_FOUND
     )
-    return PackResult(False, None, failed, reason, tuple(trace))
+    return PackResult(False, None, failed, reason)
 
 
 def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
+    if not (math.isfinite(tol) and 0 <= tol <= MAX_TOL):
+        raise InputError(f"tol must be finite and in [0, {MAX_TOL:g}], got {tol!r}")
 
 
 def pack_c1(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
@@ -410,12 +395,10 @@ def pack_c1(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
     _check_tol(tol)
     inst = _instance(sides)
     order = _sorted_order(inst.sides)
-    trace: "list[str]" = []
     by_index: "dict[int, PlacedSquare]" = {}
     for slot, i in enumerate(order[:4]):
         ox, oy = _C1_POCKET_ORIGINS[slot]
         by_index[i] = PlacedSquare(ox, oy, inst.sides[i])
-        trace.append(f"side {inst.sides[i]:.9g} -> container pocket {slot}")
     rest = order[4:]
     positions, fail = shelf_pack(
         _C1_CONTAINER, _C1_CONTAINER, [inst.sides[i] for i in rest], tol
@@ -425,9 +408,7 @@ def pack_c1(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
             px - _C1_CONTAINER / 2, py - _C1_CONTAINER / 2, inst.sides[i]
         )
     failed = None if fail is None else rest[fail]
-    if fail is not None:
-        trace.append(f"side {inst.sides[rest[fail]]:.9g} -> no shelf in container")
-    return _result("C1", inst.sides, by_index, trace, failed)
+    return _result("C1", inst.sides, by_index, failed)
 
 
 def pack_c2(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
@@ -436,7 +417,6 @@ def pack_c2(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
     _check_tol(tol)
     inst = _instance(sides)
     order = _sorted_order(inst.sides)
-    trace: "list[str]" = []
     by_index: "dict[int, PlacedSquare]" = {}
     # quadrant cells, each cornered at the disk center
     corners = ((-1, -1), (1, -1), (-1, 1), (1, 1))
@@ -444,15 +424,12 @@ def pack_c2(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
         s = inst.sides[i]
         cx, cy = corners[slot]
         by_index[i] = PlacedSquare(0.0 if cx > 0 else -s, 0.0 if cy > 0 else -s, s)
-        trace.append(f"side {s:.9g} -> quadrant {slot}")
     rest = order[4:]
     positions, fail = shelf_pack(_C2_BOX, _C2_BOX, [inst.sides[i] for i in rest], tol)
     for (px, py), i in zip(positions, rest):
         by_index[i] = PlacedSquare(px - _C2_BOX / 2, py + _C2_CELL, inst.sides[i])
     failed = None if fail is None else rest[fail]
-    if fail is not None:
-        trace.append(f"side {inst.sides[rest[fail]]:.9g} -> no shelf in top container")
-    return _result("C2", inst.sides, by_index, trace, failed)
+    return _result("C2", inst.sides, by_index, failed)
 
 
 def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
@@ -461,10 +438,9 @@ def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
     inst = _instance(sides)
     order = _sorted_order(inst.sides)
     s1 = inst.sides[order[0]]
-    trace: "list[str]" = []
     by_index: "dict[int, PlacedSquare]" = {}
     if s1 > SQRT2 + 1e-12:
-        return _result("C3", inst.sides, by_index, trace, order[0])
+        return _result("C3", inst.sides, by_index, order[0])
     geo = pocket_geometry(s1)
     state = PackState(
         s1=s1,
@@ -472,31 +448,28 @@ def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
         geo=geo,
         pockets=[_Pocket(geo, -1, tol), _Pocket(geo, +1, tol)],
         subcontainers=[],
-        trace=trace,
     )
     by_index[order[0]] = PlacedSquare(-s1 / 2, T_inv(s1), s1)
-    state.note(f"side {s1:.9g} -> topmost")
     for i in order[1:]:
         s = inst.sides[i]
         sq = top_pack_try(state, s)
         if sq is None:
             sq = bottom_pack(state, s)
         if sq is None:
-            state.note(f"side {s:.9g} -> no placement")
-            return _result("C3", inst.sides, by_index, trace, i)
+            return _result("C3", inst.sides, by_index, i)
         by_index[i] = sq
-    return _result("C3", inst.sides, by_index, trace, None)
+    return _result("C3", inst.sides, by_index, None)
 
 
 def pack(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
     """Pack squares into the unit disk; guaranteed to succeed when the total
     area is at most 8/5.  Placements are returned in input order.  tol must
-    be finite and >= 0 here, in pack_c1/2/3 and in validate; anything else
-    raises InputError."""
+    lie in [0, MAX_TOL] here, in pack_c1/2/3 and in validate; anything else
+    (NaN included) raises InputError."""
     _check_tol(tol)
     inst = _instance(sides)
     if not inst.sides:
-        return PackResult(True, Packing((), "C3", 0.0), None, None, ())
+        return PackResult(True, Packing((), "C3", 0.0), None, None)
     order = _sorted_order(inst.sides)
     s1 = inst.sides[order[0]]
     if s1 <= _C1_POCKET:
@@ -522,7 +495,7 @@ def validate(placements: Sequence[PlacedSquare], tol: float = DEFAULT_TOL) -> Va
 
     containment_violations holds the offending indices in ascending order;
     overlap_violations holds the overlapping pairs (i, j), i < j, in
-    ascending order.  tol must be finite and >= 0; anything else raises
+    ascending order.  tol must lie in [0, MAX_TOL]; anything else raises
     InputError.  The cost does not grow with the largest side, so a few
     large squares over many tiny ones stay near-linear (see
     _overlap_pairs)."""

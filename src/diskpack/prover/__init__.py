@@ -9,7 +9,6 @@ from .engine import (
     ProofStatus,
     ProverConfig,
     Relation,
-    SplitPolicy,
     Variable,
     confirm_counterexample,
     prove,
@@ -25,7 +24,6 @@ __all__ = [
     "ProofStatus",
     "ProverConfig",
     "Relation",
-    "SplitPolicy",
     "Variable",
     "confirm_counterexample",
     "lemma_catalog",

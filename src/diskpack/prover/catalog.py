@@ -30,7 +30,6 @@ from .engine import (
     OrRelation,
     ProverConfig,
     Relation,
-    SplitPolicy,
     Variable,
 )
 
@@ -152,11 +151,7 @@ def _sc_system(k: int, sn_above_pocket: bool) -> ConstraintSystem:
         hypotheses=tuple(hyps),
         conclusion=Relation("F_SC > 8/5", concl_fn, ">", _CRITICAL),
         prepare=prep,
-        default_config=ProverConfig(
-            max_depth=200,
-            min_width=1e-4 if k == 1 else 1e-3,
-            split_policy=SplitPolicy.WIDEST,
-        ),
+        default_config=ProverConfig(max_depth=200, min_width=1e-4 if k == 1 else 1e-3),
     )
 
 
@@ -190,9 +185,7 @@ def _msc_neg_system() -> ConstraintSystem:
             _CRITICAL,
         ),
         prepare=prep,
-        default_config=ProverConfig(
-            max_depth=200, min_width=1e-3, split_policy=SplitPolicy.WIDEST
-        ),
+        default_config=ProverConfig(max_depth=200, min_width=1e-3),
     )
 
 
@@ -236,9 +229,7 @@ def _msc_pos_system() -> ConstraintSystem:
             _CRITICAL,
         ),
         prepare=prep,
-        default_config=ProverConfig(
-            max_depth=200, min_width=1e-3, split_policy=SplitPolicy.WIDEST
-        ),
+        default_config=ProverConfig(max_depth=200, min_width=1e-3),
     )
 
 

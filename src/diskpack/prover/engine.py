@@ -4,10 +4,10 @@ A ConstraintSystem states: for all variable values in the given ranges that
 satisfy every hypothesis, the conclusion holds.  prove() explores the range
 box with interval arithmetic: a sub-box is discarded when some hypothesis
 certainly fails on it or the conclusion certainly holds on it; otherwise it
-is bisected.  Boxes that reach the depth or width floor undecided are
-reported (the statement is then not established at this resolution).  When
-the conclusion certainly fails somewhere, real-valued midpoint evaluation
-hunts for a concrete counterexample.
+is bisected across its widest variable.  Boxes that reach the depth or width
+floor undecided are reported (the statement is then not established at this
+resolution).  When the conclusion certainly fails somewhere, real-valued
+midpoint evaluation hunts for a concrete counterexample.
 
 Boxes are processed in chunks: a chunk is a set of boxes of (essentially)
 equal per-variable widths stored as two lane-major arrays, so every formula
@@ -41,7 +41,6 @@ class Variable:
     name: str
     lo: float
     hi: float
-    min_width: Optional[float] = None  # overrides ProverConfig.min_width
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo > self.hi:
@@ -115,19 +114,16 @@ class OrRelation:
 Hypothesis = Union[Relation, OrRelation]
 
 
-class SplitPolicy(enum.Enum):
-    EARLIEST = "earliest"
-    WIDEST = "widest"
+# Most lanes one chunk holds, and how many undecided boxes end a search
+# early as UNDECIDED.
+CHUNK_LANES = 8192
+UNDECIDED_CAP = 64
 
 
 @dataclass(frozen=True)
 class ProverConfig:
     max_depth: int = 60
     min_width: float = 1e-4
-    split_policy: SplitPolicy = SplitPolicy.EARLIEST
-    worker_count: int = 1
-    chunk_lanes: int = 8192
-    undecided_cap: int = 64
 
 
 class ProofStatus(enum.Enum):
@@ -144,13 +140,6 @@ class ProofStats:
     undecided_count: int = 0
     peak_lanes: int = 0
     wall_time_s: float = 0.0
-
-    def merge(self, other: "ProofStats") -> None:
-        self.boxes_explored += other.boxes_explored
-        self.boxes_pruned += other.boxes_pruned
-        self.max_depth_reached = max(self.max_depth_reached, other.max_depth_reached)
-        self.undecided_count += other.undecided_count
-        self.peak_lanes = max(self.peak_lanes, other.peak_lanes)
 
 
 @dataclass(frozen=True)
@@ -227,37 +216,20 @@ def confirm_counterexample(system: ConstraintSystem, point: "dict[str, float]") 
         return False
 
 
-def _split_index(widths: np.ndarray, minw: np.ndarray, policy: SplitPolicy) -> int:
-    splittable = widths > minw
-    if not splittable.any():
-        return int(np.argmax(widths / minw))
-    if policy is SplitPolicy.EARLIEST:
-        return int(np.argmax(splittable))
-    ratios = np.where(splittable, widths / minw, -np.inf)
-    return int(np.argmax(ratios))
-
-
 def _box_dict(system: ConstraintSystem, lo: np.ndarray, hi: np.ndarray) -> dict:
     return {
         v.name: (float(lo[j]), float(hi[j])) for j, v in enumerate(system.variables)
     }
 
 
-def _search(
-    system: ConstraintSystem,
-    config: ProverConfig,
-    lo0: np.ndarray,
-    hi0: np.ndarray,
-) -> ProofResult:
-    nv = len(system.variables)
-    minw = np.array(
-        [v.min_width if v.min_width is not None else config.min_width for v in system.variables]
-    )
+def _search(system: ConstraintSystem, config: ProverConfig) -> ProofResult:
+    lo0 = np.array([[v.lo for v in system.variables]])
+    hi0 = np.array([[v.hi for v in system.variables]])
     cheap = [h for h in system.hypotheses if h.cheap]
     main = [h for h in system.hypotheses if not h.cheap]
     stats = ProofStats()
     undecided: "list[dict]" = []
-    stack = [(0, lo0.reshape(1, nv), hi0.reshape(1, nv))]
+    stack = [(0, lo0, hi0)]
     lanes_resident = 1
 
     while stack:
@@ -265,11 +237,11 @@ def _search(
         # Same-depth boxes share one width vector (the split choice depends
         # only on widths, which depend only on depth), so merging trailing
         # same-depth chunks is lossless and keeps the lanes vectorized.
-        if stack and stack[-1][0] == depth and LO.shape[0] < config.chunk_lanes:
+        if stack and stack[-1][0] == depth and LO.shape[0] < CHUNK_LANES:
             group = [LO]
             group_hi = [HI]
             total = LO.shape[0]
-            while stack and stack[-1][0] == depth and total < config.chunk_lanes:
+            while stack and stack[-1][0] == depth and total < CHUNK_LANES:
                 _, lo2, hi2 = stack.pop()
                 group.append(lo2)
                 group_hi.append(hi2)
@@ -316,7 +288,7 @@ def _search(
         LOs, HIs = LOa[sidx], HIa[sidx]
 
         widths = (HIs - LOs).max(axis=0)
-        at_floor = bool(np.all(widths <= minw))
+        at_floor = bool(np.all(widths <= config.min_width))
         is_leaf = depth >= config.max_depth or at_floor
 
         cand = np.arange(sidx.size) if is_leaf else np.flatnonzero(concl_cf[sidx])
@@ -329,13 +301,13 @@ def _search(
             stats.undecided_count += sidx.size
             for k in range(min(sidx.size, 8 - len(undecided))):
                 undecided.append(_box_dict(system, LOs[k], HIs[k]))
-            if stats.undecided_count > config.undecided_cap:
+            if stats.undecided_count > UNDECIDED_CAP:
                 return ProofResult(
                     system.name, ProofStatus.UNDECIDED, stats, None, tuple(undecided)
                 )
             continue
 
-        j = _split_index(widths, minw, config.split_policy)
+        j = int(np.argmax(widths))
         mid = LOs[:, j] + 0.5 * (HIs[:, j] - LOs[:, j])
         hi_a = HIs.copy()
         hi_a[:, j] = mid
@@ -344,8 +316,8 @@ def _search(
         children_lo = np.concatenate([LOs, lo_b])
         children_hi = np.concatenate([hi_a, HIs])
         n_children = children_lo.shape[0]
-        for start in range(0, n_children, config.chunk_lanes):
-            end = min(start + config.chunk_lanes, n_children)
+        for start in range(0, n_children, CHUNK_LANES):
+            end = min(start + CHUNK_LANES, n_children)
             stack.append((depth + 1, children_lo[start:end], children_hi[start:end]))
             lanes_resident += end - start
         stats.peak_lanes = max(stats.peak_lanes, lanes_resident)
@@ -354,73 +326,11 @@ def _search(
     return ProofResult(system.name, status, stats, None, tuple(undecided))
 
 
-def _initial_parts(
-    system: ConstraintSystem, parts: int
-) -> "list[tuple[np.ndarray, np.ndarray]]":
-    lo = np.array([v.lo for v in system.variables])
-    hi = np.array([v.hi for v in system.variables])
-    boxes = [(lo, hi)]
-    while len(boxes) < parts:
-        blo, bhi = boxes.pop(0)
-        w = bhi - blo
-        j = int(np.argmax(w))
-        if w[j] <= 0:
-            boxes.append((blo, bhi))
-            break
-        mid = blo[j] + 0.5 * w[j]
-        hi_a = bhi.copy()
-        hi_a[j] = mid
-        lo_b = blo.copy()
-        lo_b[j] = mid
-        boxes.append((blo, hi_a))
-        boxes.append((lo_b, bhi))
-    return boxes
-
-
-def _worker_entry(args) -> ProofResult:
-    name, config, lo, hi = args
-    from .catalog import lemma_catalog
-
-    system = next(s for s in lemma_catalog() if s.name == name)
-    return _search(system, config, np.asarray(lo), np.asarray(hi))
-
-
 def prove(system: ConstraintSystem, config: Optional[ProverConfig] = None) -> ProofResult:
-    """Run the branch-and-prune search; the result status is the conjunction
-    over all parts of the range box, independent of scheduling."""
+    """Run the branch-and-prune search at `config`, else at the system's
+    default config, else at ProverConfig()."""
     cfg = config or system.default_config or ProverConfig()
     t0 = time.perf_counter()
-    lo = np.array([v.lo for v in system.variables])
-    hi = np.array([v.hi for v in system.variables])
-
-    results: "list[ProofResult]" = []
-    if cfg.worker_count > 1:
-        from .catalog import lemma_catalog
-
-        if any(s.name == system.name for s in lemma_catalog()):
-            import multiprocessing as mp
-
-            parts = _initial_parts(system, 4 * cfg.worker_count)
-            jobs = [(system.name, cfg, p[0].tolist(), p[1].tolist()) for p in parts]
-            ctx = mp.get_context("fork")
-            with ctx.Pool(cfg.worker_count) as pool:
-                results = pool.map(_worker_entry, jobs)
-        else:
-            results = [_search(system, cfg, lo, hi)]
-    else:
-        results = [_search(system, cfg, lo, hi)]
-
-    stats = ProofStats()
-    counterexample = None
-    undecided_boxes: "list[dict]" = []
-    status = ProofStatus.PROVED
-    for r in results:
-        stats.merge(r.stats)
-        if r.status is ProofStatus.DISPROVED and counterexample is None:
-            counterexample = r.counterexample
-            status = ProofStatus.DISPROVED
-        elif r.status is ProofStatus.UNDECIDED and status is not ProofStatus.DISPROVED:
-            status = ProofStatus.UNDECIDED
-            undecided_boxes.extend(r.undecided_boxes)
-    stats.wall_time_s = time.perf_counter() - t0
-    return ProofResult(system.name, status, stats, counterexample, tuple(undecided_boxes[:8]))
+    result = _search(system, cfg)
+    result.stats.wall_time_s = time.perf_counter() - t0
+    return result

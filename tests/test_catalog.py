@@ -134,16 +134,29 @@ class TestSamples:
         assert (s["sn"] < sigma(s["s1"])).any()
 
 
-class TestFastProofs:
-    @pytest.mark.parametrize("name", ["LEMMA_TP1", "LEMMA_TP2"])
-    def test_pocket_corner_lemmas_prove(self, name):
-        res = prove(CATALOG[name])
-        assert res.status is ProofStatus.PROVED
-        assert res.stats.undecided_count == 0
-        assert res.stats.wall_time_s < 60.0
+# (boxes explored, boxes pruned, max depth) of every system but LEMMA_MSC_NEG
+# at its default config.  A change to an enclosure or to the search that
+# alters a tree must update these on purpose.
+PINNED_TREES = {
+    "LEMMA_TP1": (27, 14, 6),
+    "LEMMA_TP2": (89, 45, 10),
+    "LEMMA_SC1": (7025, 3513, 27),
+    "LEMMA_SC2": (18213, 9107, 27),
+    "LEMMA_SC3": (97731, 48866, 28),
+    "LEMMA_SC4": (369593, 184797, 34),
+    "LEMMA_SC5_SIGMA": (21061, 10531, 29),
+    "LEMMA_SC6_SIGMA": (25937, 12969, 31),
+    "LEMMA_SC7_SIGMA": (28217, 14109, 32),
+    "LEMMA_MSC_POS": (14231, 7116, 26),
+}
 
-    @pytest.mark.parametrize("name", ["LEMMA_SC1", "LEMMA_SC2"])
-    def test_small_subcontainer_lemmas_prove(self, name):
+
+class TestFastProofs:
+    @pytest.mark.parametrize("name", sorted(PINNED_TREES))
+    def test_search_tree_is_pinned(self, name):
         res = prove(CATALOG[name])
+        stats = res.stats
         assert res.status is ProofStatus.PROVED
-        assert res.stats.undecided_count == 0
+        assert stats.undecided_count == 0
+        tree = (stats.boxes_explored, stats.boxes_pruned, stats.max_depth_reached)
+        assert tree == PINNED_TREES[name]

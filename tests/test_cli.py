@@ -178,14 +178,14 @@ class TestPackVerifyFlow:
         assert main(["verify", str(doc)]) == EXIT_OK  # default tol 1e-9
         assert main(["verify", str(doc), "--tol", "1e-12"]) == EXIT_INVALID_PACKING
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "1e-5", "1"])
     def test_verify_refuses_meaningless_tol(self, tmp_path, capsys, tol):
         doc = tmp_path / "doc.txt"
         doc.write_text(_doc([PlacedSquare(-0.25, -0.25, 0.5)]))
         assert main(["verify", str(doc), f"--tol={tol}"]) == EXIT_INPUT
         assert "tol must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "1e-5", "1"])
     def test_pack_writes_nothing_under_meaningless_tol(self, tmp_path, tol):
         # pack refuses the tol before placing anything
         inst = tmp_path / "inst.txt"
@@ -196,7 +196,7 @@ class TestPackVerifyFlow:
 
     def test_pack_never_exits_ok_on_a_packing_it_rejects(self, tmp_path, monkeypatch, capsys):
         p = PlacedSquare(-0.25, -0.25, 0.5)
-        overlapping = PackResult(True, Packing((p, p), "C3", 0.5), None, None, ())
+        overlapping = PackResult(True, Packing((p, p), "C3", 0.5), None, None)
         monkeypatch.setattr(cli, "pack", lambda inst, tol: overlapping)
         inst = tmp_path / "inst.txt"
         inst.write_text("0.5\n0.5\n")
@@ -262,8 +262,6 @@ class TestProve:
     @pytest.mark.parametrize(
         "flag, value",
         [
-            ("--workers", "0"),
-            ("--workers", "-2"),
             ("--depth", "-3"),
             ("--min-width", "0"),
             ("--min-width", "-1e-4"),

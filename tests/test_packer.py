@@ -143,7 +143,7 @@ class TestValidateSynthetic:
         rep = validate(res.packing.placements, 1e-9)
         assert rep.checked == 9
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12, 1e-5, 1.0])
     def test_meaningless_tol_is_refused(self, tol):
         with pytest.raises(InputError):
             validate([PlacedSquare(0.0, 0.0, 0.1)], tol)
@@ -424,7 +424,7 @@ class TestPackingProperty:
         factor = math.sqrt(1.6 * frac / area)
         scaled = [s * factor for s in sides]
         res = pack(scaled)
-        assert res.ok, res.trace
+        assert res.ok, (res.failed_index, res.reason)
         assert validate(res.packing.placements, 1e-9).ok
 
     @settings(max_examples=20, deadline=None)
@@ -433,5 +433,5 @@ class TestPackingProperty:
         n = 4 + seed % 60
         inst = gen_random(seed, n, 1.6, dist)
         res = pack(inst)
-        assert res.ok, res.trace
+        assert res.ok, (res.failed_index, res.reason)
         assert validate(res.packing.placements, 1e-9).ok

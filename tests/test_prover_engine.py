@@ -1,4 +1,4 @@
-"""Branch-and-prune engine: statuses, pruning, splitting, merging."""
+"""Branch-and-prune engine: statuses, pruning, splitting, chunking."""
 
 from __future__ import annotations
 
@@ -10,18 +10,16 @@ import pytest
 from diskpack.errors import ContractError
 from diskpack.prover import (
     ConstraintSystem,
-    ProofStats,
     ProofStatus,
     ProverConfig,
     lemma_catalog,
     prove,
 )
+from diskpack.prover import engine
 from diskpack.prover.engine import (
     OrRelation,
     Relation,
-    SplitPolicy,
     Variable,
-    _split_index,
     confirm_counterexample,
 )
 from diskpack.iarrays import IntervalArray
@@ -79,6 +77,18 @@ class TestStatuses:
         x = res.counterexample["x"]
         assert 1.0 <= x and x * x <= 2.0
 
+    def test_proves_the_system_it_is_given(self):
+        # a catalog system with a false conclusion keeps its catalog name;
+        # the search must run the system passed in, not the catalog's
+        tp1 = next(s for s in lemma_catalog() if s.name == "LEMMA_TP1")
+        false_tp1 = dataclasses.replace(
+            tp1,
+            conclusion=dataclasses.replace(tp1.conclusion, label="F_TP1 <= 0.1", bound=0.1),
+        )
+        res = prove(false_tp1)
+        assert res.status is ProofStatus.DISPROVED
+        assert confirm_counterexample(false_tp1, res.counterexample)
+
     def test_hypotheses_prune_falsifying_region(self):
         # conclusion is false for x outside [0.5, 0.8]; hypotheses cut it out
         system = _sys(
@@ -101,7 +111,7 @@ class TestStatuses:
         assert res.status is ProofStatus.PROVED
         assert res.stats.boxes_pruned > 0
 
-    def test_zero_margin_boundary_is_undecided(self):
+    def test_zero_margin_boundary_is_undecided(self, monkeypatch):
         # x <= 1 can never be certified on boxes straddling x = 1
         system = _sys(
             "toy_zero_margin",
@@ -109,7 +119,8 @@ class TestStatuses:
             [Relation("x <= 1", lambda e: e["x"], "<=", 1.0)],
             Relation("x <= 1", lambda e: e["x"], "<=", 1.0),
         )
-        res = prove(system, ProverConfig(max_depth=25, min_width=1e-6, undecided_cap=4))
+        monkeypatch.setattr(engine, "UNDECIDED_CAP", 4)
+        res = prove(system, ProverConfig(max_depth=25, min_width=1e-6))
         assert res.status is ProofStatus.UNDECIDED
         assert res.stats.undecided_count > 0
         assert 0 < len(res.undecided_boxes) <= 8
@@ -228,101 +239,42 @@ class TestSchedulingInvariance:
             ),
         )
 
-    def test_chunk_size_does_not_change_the_tree(self):
-        base = ProverConfig(max_depth=40, min_width=1e-4)
-        small = dataclasses.replace(base, chunk_lanes=2)
-        big = dataclasses.replace(base, chunk_lanes=8192)
-        r1 = prove(self._two_var_system(), small)
-        r2 = prove(self._two_var_system(), big)
+    def test_chunk_size_does_not_change_the_tree(self, monkeypatch):
+        cfg = ProverConfig(max_depth=40, min_width=1e-4)
+        monkeypatch.setattr(engine, "CHUNK_LANES", 2)
+        r1 = prove(self._two_var_system(), cfg)
+        monkeypatch.setattr(engine, "CHUNK_LANES", 8192)
+        r2 = prove(self._two_var_system(), cfg)
         assert r1.status is r2.status is ProofStatus.PROVED
         assert r1.stats.boxes_explored == r2.stats.boxes_explored
 
-    def test_split_policies_agree_on_status(self):
-        for policy in (SplitPolicy.EARLIEST, SplitPolicy.WIDEST):
-            res = prove(
-                self._two_var_system(),
-                ProverConfig(max_depth=40, min_width=1e-4, split_policy=policy),
-            )
-            assert res.status is ProofStatus.PROVED
-
-    def test_worker_split_on_catalog_system(self):
-        tp1 = next(s for s in lemma_catalog() if s.name == "LEMMA_TP1")
-        cfg = dataclasses.replace(tp1.default_config, worker_count=2)
-        res = prove(tp1, cfg)
-        assert res.status is ProofStatus.PROVED
-        assert res.stats.boxes_explored >= 8  # at least the initial parts
-
-    def test_worker_request_on_toy_system_falls_back_single(self):
-        system = _sys(
-            "toy_workers",
-            [Variable("x", 0.0, 1.0)],
-            [],
-            Relation("x+1 > 0", lambda e: e["x"] + 1.0, ">", 0.0),
-        )
-        res = prove(system, ProverConfig(worker_count=4, max_depth=10, min_width=1e-4))
-        assert res.status is ProofStatus.PROVED
-
 
 class TestControls:
-    def test_undecided_cap_stops_early(self):
+    def test_undecided_cap_stops_early(self, monkeypatch):
         system = _sys(
             "toy_cap",
             [Variable("x", 0.0, 1.0)],
             [],
             Relation("x > 0", lambda e: e["x"], ">", 0.0),  # fails at the edge
         )
-        res = prove(system, ProverConfig(max_depth=60, min_width=1e-9, undecided_cap=3))
+        monkeypatch.setattr(engine, "UNDECIDED_CAP", 3)
+        res = prove(system, ProverConfig(max_depth=60, min_width=1e-9))
         assert res.status is ProofStatus.UNDECIDED
         assert res.stats.undecided_count >= 1
 
-    def test_per_variable_min_width_blocks_splitting(self):
-        system = _sys(
-            "toy_frozen_var",
-            [
-                Variable("x", 0.0, 1.0, min_width=10.0),  # never split
-                Variable("y", 0.0, 1.0),
-            ],
-            [],
-            Relation("y > 0", lambda e: e["y"], ">", 0.0),
-        )
-        res = prove(system, ProverConfig(max_depth=12, min_width=1e-3, undecided_cap=2))
-        assert res.status is ProofStatus.UNDECIDED
-        for box in res.undecided_boxes:
-            assert box["x"] == (0.0, 1.0)  # x was never subdivided
-
-    def test_max_depth_bounds_the_tree(self):
+    def test_max_depth_bounds_the_tree(self, monkeypatch):
         system = _sys(
             "toy_depth",
             [Variable("x", 0.0, 1.0)],
             [],
             Relation("x > 0", lambda e: e["x"], ">", 0.0),
         )
-        res = prove(system, ProverConfig(max_depth=5, min_width=1e-12, undecided_cap=10**9))
+        monkeypatch.setattr(engine, "UNDECIDED_CAP", 10**9)
+        res = prove(system, ProverConfig(max_depth=5, min_width=1e-12))
         assert res.stats.max_depth_reached <= 5
 
 
 class TestHelpers:
-    def test_split_index_policies(self):
-        widths = np.array([0.1, 0.5])
-        minw = np.array([1e-4, 1e-4])
-        assert _split_index(widths, minw, SplitPolicy.EARLIEST) == 0
-        assert _split_index(widths, minw, SplitPolicy.WIDEST) == 1
-
-    def test_split_index_respects_min_width(self):
-        widths = np.array([0.5, 1e-5])
-        minw = np.array([1.0, 1e-6])  # first variable frozen
-        assert _split_index(widths, minw, SplitPolicy.WIDEST) == 1
-
-    def test_proof_stats_merge(self):
-        a = ProofStats(10, 5, 3, 1, 100, 0.5)
-        b = ProofStats(7, 2, 9, 0, 50, 0.1)
-        a.merge(b)
-        assert a.boxes_explored == 17
-        assert a.boxes_pruned == 7
-        assert a.max_depth_reached == 9
-        assert a.undecided_count == 1
-        assert a.peak_lanes == 100
-
     def test_relation_rejects_unknown_op(self):
         with pytest.raises(ContractError):
             Relation("bad", lambda e: e["x"], "==", 0.0)
