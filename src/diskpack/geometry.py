@@ -6,7 +6,8 @@ formula body serves plain floats (packing), numpy arrays (bulk sampling) and
 IntervalArray lanes (verified enclosures).  Float arguments get strict domain
 checks; enclosures clamp partial overshoot instead, which extends each
 function continuously across the domain boundary and keeps slightly-too-wide
-boxes evaluable.
+boxes evaluable.  segment_area_below alone dispatches on the kind: it is
+monotone, so its enclosure evaluates the formula at the two ends of a lane.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
+from .iarrays import IntervalArray
 from .scalars import (
     Numeric,
     acos,
@@ -108,13 +112,40 @@ def sigma(s1: Numeric) -> Numeric:
     return branch_le(s1, thr, resting, centered)
 
 
+def _segment_area(c: Numeric) -> Numeric:
+    return acos(c) - c * sqrt(smax(1 - square(c), 0.0))
+
+
 def segment_area_below(c: Numeric) -> Numeric:
     """arccos(c) - c*sqrt(1 - c^2): the disk area on the far side of the
     horizontal line y = c, i.e. the area of {y >= c}.  Callers measuring the
-    area below a cut at ordinate t pass c = -t."""
+    area below a cut at ordinate t pass c = -t.
+
+    Floats and arrays evaluate the formula directly.  An IntervalArray lane
+    [lo, hi] gets [f(hi), f(lo)] with both ends clamped to [-1, 1], which is
+    sound because f'(c) = -2*sqrt(1 - c^2) <= 0: f is nonincreasing on
+    [-1, 1], and the continuous extension the formula gives beyond the clamp
+    (acos clamps, the radicand is floored at 0) is constant, f(-1) = pi
+    below and f(1) = 0 above.  So f over the lane lies in [f(hi'), f(lo')]
+    for the clamped ends hi', lo'.  Each end is the same formula evaluated
+    on a point lane through the outward-rounded interval operations, whose
+    result encloses the exact f there; the lower end of f at hi' and the
+    upper end of f at lo' bound the range.  The result is never wider than
+    the natural extension of the formula over the whole lane, which holds
+    both point evaluations (the interval operations are inclusion-isotonic)
+    and loses the monotonicity: its two terms vary together, and the slope
+    of the square root has no bound as c -> 1.  A lane that is NaN, or lies
+    wholly above 1 or wholly below -1, is poisoned (NaN), as the natural
+    extension's arccos would poison it.
+    """
     if _real(c) and not -1.0 <= c <= 1.0:
         raise DomainError(f"segment_area_below: cut {c!r} outside [-1, 1]")
-    return acos(c) - c * sqrt(smax(1 - square(c), 0.0))
+    if not isinstance(c, IntervalArray):
+        return _segment_area(c)
+    ends = IntervalArray.from_point(np.clip(np.stack((c.hi, c.lo)), -1.0, 1.0))
+    f = _segment_area(ends)
+    bad = c.poisoned() | (c.lo > 1.0) | (c.hi < -1.0)
+    return IntervalArray(np.where(bad, np.nan, f.lo[0]), np.where(bad, np.nan, f.hi[1]))
 
 
 def chord_width(y_t: Numeric, h: Numeric) -> Numeric:

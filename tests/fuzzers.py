@@ -3,7 +3,8 @@
 Two families live here:
 
 * ``interval_containment_fuzz`` -- vectorized random workloads over every
-  ``IntervalArray`` operation, checking that the float truth of each lane
+  ``IntervalArray`` operation and the monotone ``segment_area_below``
+  enclosure, checking that the float truth of each lane
   stays inside the computed enclosure (or that the lane is honestly
   poisoned when the operation left its domain);
 * ``hypothesis_samples`` -- random points drawn inside a catalog system's
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from diskpack.geometry import T_inv, sigma, z_below
+from diskpack.geometry import T_inv, segment_area_below, sigma, z_below
 from diskpack.iarrays import IntervalArray
 from diskpack.prover.catalog import _height_cap, _S1_HI, _S1_LO
 
@@ -131,6 +132,46 @@ def interval_containment_fuzz(seed: int, lanes: int) -> "tuple[int, int]":
     u = _enclose(rng, pu, 0.02)
     u = IntervalArray(np.maximum(u.lo, -1.0), np.minimum(u.hi, 1.0))
     tally.check(u.acos(), np.arccos(pu), domain_clean=np.ones(lanes, bool))
+
+    # segment_area_below on enclosures: the nonincreasing f evaluated at the
+    # two clamped ends of each lane.  Lanes inside [-1, 1] are domain-clean.
+    def area(p: np.ndarray) -> np.ndarray:
+        return np.arccos(p) - p * np.sqrt(np.maximum(1.0 - p * p, 0.0))
+
+    tally.check(segment_area_below(u), area(pu), domain_clean=np.ones(lanes, bool))
+
+    # Lanes packed toward c -> +-1, where the slope of the square root has no
+    # bound: each lane reaches a random multiple of the gap to its end.
+    side = np.where(rng.random(lanes) < 0.75, 1.0, -1.0)
+    gap = 10.0 ** rng.uniform(-16.0, -1.0, lanes)
+    pe = side * (1.0 - gap)
+    inward = gap * rng.uniform(0.0, 4.0, lanes)
+    outward = gap * rng.random(lanes)
+    exact = rng.random(lanes) < 0.25
+    inward[exact] = 0.0
+    outward[exact] = 0.0
+    e = IntervalArray(
+        np.maximum(pe - np.where(side > 0, inward, outward), -1.0),
+        np.minimum(pe + np.where(side > 0, outward, inward), 1.0),
+    )
+    tally.check(segment_area_below(e), area(pe), domain_clean=np.ones(lanes, bool))
+
+    # A lane that only partly overshoots +-1 is clamped, never poisoned; the
+    # truth at an inner point inside [-1, 1] must hold.
+    over = rng.uniform(1e-12, 0.5, lanes)
+    ov = IntervalArray(np.where(side > 0, pu, -1.0 - over), np.where(side > 0, 1.0 + over, pu))
+    tally.check(segment_area_below(ov), area(pu), domain_clean=np.ones(lanes, bool))
+
+    # A lane wholly above 1, wholly below -1 or NaN must poison.
+    start = np.nextafter(1.0, 2.0) + rng.uniform(0.0, 1.0, lanes) * (rng.random(lanes) < 0.5)
+    outside = IntervalArray(
+        np.where(side > 0, start, -(start + over)), np.where(side > 0, start + over, -start)
+    )
+    nan_lane = rng.random(lanes) < 0.1
+    outside.lo[nan_lane & (side > 0)] = np.nan
+    outside.hi[nan_lane & (side < 0)] = np.nan
+    tally.checks += lanes
+    tally.violations += int(np.count_nonzero(~segment_area_below(outside).poisoned()))
 
     # Composite expression mixing every op with always-positive denominator.
     w = x.square() + y.square() + 1.0

@@ -1,19 +1,17 @@
 """Acceptance gate: one test per numbered criterion, each printing a single
 ``criterion N: PASS/FAIL`` line with the measured evidence.
 
-Criterion 8 (the full prover tier, ~16 min single-core) is opt-in via
-``DISKPACK_FULL_TIER=1``; everything else runs in the default suite.
+Every criterion runs in the default suite; the slowest are criterion 3's
+guarantee sweep (about 2 min) and criterion 8's full prover tier (about 4 s
+single-core).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import resource
 import time
-
-import pytest
 
 import oracles
 from diskpack.cli import EXIT_OK, EXIT_PACK_FAILED, main
@@ -351,18 +349,14 @@ def test_criterion_7_fast_proof_tier():
 # ---------------------------------------------------------------- criterion 8
 
 
-@pytest.mark.fulltier
-@pytest.mark.skipif(
-    os.environ.get("DISKPACK_FULL_TIER") != "1",
-    reason="full prover tier (~16 min single-core); enable with DISKPACK_FULL_TIER=1",
-)
 def test_criterion_8_full_proof_tier():
     t0 = time.perf_counter()
     rows = []
-    all_proved = True
+    proved = undecided = 0
     for system in lemma_catalog():
         result = prove(system)
-        all_proved = all_proved and result.status is ProofStatus.PROVED
+        proved += result.status is ProofStatus.PROVED
+        undecided += result.stats.undecided_count
         rows.append(
             f"    {system.name:18s} {result.status.value:9s} "
             f"boxes={result.stats.boxes_explored:>11d} "
@@ -372,17 +366,16 @@ def test_criterion_8_full_proof_tier():
     wall = time.perf_counter() - t0
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-    # Proved status is the hard criterion; wall/RSS are reported against the
-    # target budget (2 h / 500 MB on 4 cores) but are machine-dependent.
+    ok = proved == len(rows) and undecided == 0 and wall < 120.0
     _report(
         8,
-        all_proved,
-        f"all {len(rows)} catalog systems proved in {wall / 60.0:.1f} min "
-        f"wall (single process), peak RSS {rss_mb:.0f} MB "
-        f"(target budget: <= 2 h, <= 500 MB)",
+        ok,
+        f"{proved} of {len(rows)} catalog systems proved with {undecided} "
+        f"undecided boxes, in {wall:.1f}s wall (bound 120 s, single process), peak RSS "
+        f"{rss_mb:.0f} MB of the test process",
     )
     print("\n".join(rows), flush=True)
-    assert all_proved
+    assert ok
 
 
 # ---------------------------------------------------------------- criterion 9

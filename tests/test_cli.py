@@ -26,6 +26,7 @@ from diskpack.cli import (
 from diskpack.errors import ParseError
 from diskpack.geometry import PlacedSquare
 from diskpack.packer import Instance, Packing, PackResult, validate
+from diskpack.prover import lemma_names
 
 
 def _doc(placements, case="C3"):
@@ -242,6 +243,16 @@ class TestProve:
         assert data["lemmas"][0]["name"] == "LEMMA_TP1"
         assert data["lemmas"][0]["status"] == "proved"
         assert data["lemmas"][0]["undecided_count"] == 0
+
+    def test_all_lemmas_prove(self, tmp_path):
+        report = tmp_path / "report.json"
+        assert main(["prove", "--lemma", "all", "--report", str(report)]) == EXIT_OK
+        data = json.loads(report.read_text())
+        assert data["all_proved"] is True
+        assert [entry["name"] for entry in data["lemmas"]] == lemma_names()
+        for entry in data["lemmas"]:
+            assert entry["status"] == "proved", entry["name"]
+            assert entry["undecided_count"] == 0, entry["name"]
 
     def test_unknown_lemma_lists_catalog(self, capsys):
         assert main(["prove", "--lemma", "LEMMA_NOPE"]) == EXIT_INPUT

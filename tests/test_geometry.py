@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -33,6 +35,7 @@ from diskpack import (
 )
 from diskpack.errors import DomainError
 from diskpack.geometry import S1_STAR, S1_STAR_ENCLOSURE, SQRT2
+from diskpack.iarrays import IntervalArray
 
 SQRT85 = math.sqrt(8.0 / 5.0)
 
@@ -132,6 +135,34 @@ class TestAnchorValues:
         # worst pair: T_inv(worst_side) = 0 pins both squares against the circle
         s = CONSTANTS.worst_side
         assert 2 * s * s == pytest.approx(8.0 / 5.0, abs=1e-15)
+
+
+def _mp_segment_area(c: mp.mpf) -> mp.mpf:
+    return mp.acos(c) - c * mp.sqrt(1 - c * c)
+
+
+unit = st.floats(min_value=-1.0, max_value=1.0)
+BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+class TestSegmentAreaEnclosure:
+    """The IntervalArray form [f(hi), f(lo)] of the nonincreasing f."""
+
+    @given(unit, unit)
+    @example(1.0, 1.0)
+    @example(-1.0, -1.0)
+    @example(0.0, 0.0)
+    @example(math.nextafter(BELOW_ONE, 0.0), BELOW_ONE)
+    def test_encloses_exact_values_and_beats_natural_extension(self, a, b) -> None:
+        lo, hi = min(a, b), max(a, b)
+        c = IntervalArray(np.array([lo]), np.array([hi]))
+        r = segment_area_below(c)
+        with mp.workdps(40):
+            for p in (mp.mpf(lo), mp.mpf(hi), (mp.mpf(lo) + mp.mpf(hi)) / 2):
+                v = _mp_segment_area(p)
+                assert mp.mpf(float(r.lo[0])) <= v <= mp.mpf(float(r.hi[0])), (lo, hi)
+        natural = c.acos() - c * (1 - c.square()).max_with(0.0).sqrt()
+        assert natural.lo[0] <= r.lo[0] and r.hi[0] <= natural.hi[0]
 
 
 class TestSigma:
