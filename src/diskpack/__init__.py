@@ -34,6 +34,7 @@ from .packer import (
     FailReason,
     Instance,
     Packing,
+    Placements,
     PackResult,
     ValidationReport,
     gen_random,
@@ -81,6 +82,7 @@ __all__ = [
     "IntervalArray",
     "PackResult",
     "Packing",
+    "Placements",
     "ParseError",
     "PlacedSquare",
     "PocketGeometry",

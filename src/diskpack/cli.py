@@ -39,7 +39,6 @@ from dataclasses import replace
 from typing import Optional, Sequence, TextIO
 
 from .errors import DiskpackError, InputError, ParseError
-from .geometry import PlacedSquare
 from .packer import (
     DEFAULT_TOL,
     Instance,
@@ -104,7 +103,10 @@ def format_document(packing: Packing, report: ValidationReport) -> str:
         f"total-area {_fmt(packing.total_area)}",
         f"placements {len(packing.placements)}",
     ]
-    lines += [f"square {_fmt(p.x)} {_fmt(p.y)} {_fmt(p.side)}" for p in packing.placements]
+    lines += [
+        f"square {_fmt(x)} {_fmt(y)} {_fmt(s)}"
+        for x, y, s in zip(packing.x.tolist(), packing.y.tolist(), packing.side.tolist())
+    ]
     lines.append(
         f"validation {'ok' if report.ok else 'violations'}"
         f" checked={report.checked}"
@@ -173,22 +175,24 @@ def parse_document(text: str) -> Packing:
         count = -1
     if count < 0:
         raise ParseError(f"line {ln}: placements wants a non-negative count")
-    placements: "list[PlacedSquare]" = []
+    xs: "list[float]" = []
+    ys: "list[float]" = []
+    sides: "list[float]" = []
     for _ in range(count):
         ln, args = take("square")
         if len(args) != 3:
             raise ParseError(f"line {ln}: square wants x, y and side")
-        x = _doc_float(args[0], "x", ln)
-        y = _doc_float(args[1], "y", ln)
+        xs.append(_doc_float(args[0], "x", ln))
+        ys.append(_doc_float(args[1], "y", ln))
         side = _doc_float(args[2], "side", ln)
         if side <= 0:
             raise ParseError(f"line {ln}: side must be positive, got {side}")
-        placements.append(PlacedSquare(x, y, side))
+        sides.append(side)
     if pos < len(rows):
         ln, args = take("validation")  # summary is re-derived, not trusted
     if pos < len(rows):
         raise ParseError(f"line {rows[pos][0]}: trailing content")
-    return Packing(tuple(placements), case, total_area)
+    return Packing(xs, ys, sides, case, total_area)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +206,9 @@ def format_svg(packing: Packing) -> str:
     exactly the digit strings of the document (textual fidelity).  The square
     placed first by the algorithm -- the largest one -- is shaded distinctly.
     """
-    first = min(
-        range(len(packing.placements)),
-        key=lambda i: (-packing.placements[i].side, i),
-        default=-1,
-    )
+    sides = packing.side.tolist()
+    # max keeps the first of equal largest sides, which the packer places first
+    first = max(range(len(sides)), key=sides.__getitem__, default=-1)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.05 -1.05 2.10 2.10"'
@@ -215,11 +217,11 @@ def format_svg(packing: Packing) -> str:
         ' stroke-width="0.008"/>',
         '  <g transform="scale(1,-1)" stroke="#1f2937" stroke-width="0.004">',
     ]
-    for i, p in enumerate(packing.placements):
+    for i, (x, y, s) in enumerate(zip(packing.x.tolist(), packing.y.tolist(), sides)):
         fill = "#f59e0b" if i == first else "#93c5fd"
         lines.append(
-            f'    <rect x="{_fmt(p.x)}" y="{_fmt(p.y)}"'
-            f' width="{_fmt(p.side)}" height="{_fmt(p.side)}" fill="{fill}"/>'
+            f'    <rect x="{_fmt(x)}" y="{_fmt(y)}"'
+            f' width="{_fmt(s)}" height="{_fmt(s)}" fill="{fill}"/>'
         )
     lines += ["  </g>", "</svg>"]
     return "\n".join(lines) + "\n"

@@ -29,11 +29,12 @@ circle up to roundoff.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,6 +48,8 @@ from .geometry import (
     pocket_geometry,
 )
 
+Corner = Tuple[float, float]  # the lower-left corner of a placed square
+
 DEFAULT_TOL = 1e-9
 # A tolerance is slack for roundoff, not for geometry: the validator lets
 # squares overlap by up to 2·tol and poke out of the disk by tol, so a tol
@@ -55,16 +58,25 @@ MAX_TOL = 1e-6
 
 _C1_CONTAINER = 1.388
 _C1_POCKET = 0.295
-# lower-left corners of the four C1 pockets, in filling order
-_C1_POCKET_ORIGINS = (
-    (-_C1_POCKET / 2, _C1_CONTAINER / 2),   # top
-    (-_C1_POCKET / 2, -_C1_CONTAINER / 2 - _C1_POCKET),  # bottom
-    (-_C1_CONTAINER / 2 - _C1_POCKET, -_C1_POCKET / 2),  # left
-    (_C1_CONTAINER / 2, -_C1_POCKET / 2),   # right
-)
+# lower-left corners of the four C1 pockets, a column each in filling order,
+# and of the container
+_C1_POCKETS = np.array(
+    (
+        (-_C1_POCKET / 2, _C1_CONTAINER / 2),  # top
+        (-_C1_POCKET / 2, -_C1_CONTAINER / 2 - _C1_POCKET),  # bottom
+        (-_C1_CONTAINER / 2 - _C1_POCKET, -_C1_POCKET / 2),  # left
+        (_C1_CONTAINER / 2, -_C1_POCKET / 2),  # right
+    )
+).T
+_C1_ORIGIN = np.array(((-_C1_CONTAINER / 2,), (-_C1_CONTAINER / 2,)))
 _C2_TOP4_AREA = 39.0 / 25.0
 _C2_CELL = SQRT2 / 2
 _C2_BOX = SQRT2 / 5
+# the four C2 quadrant cells, each cornered at the disk center, a column
+# each in filling order (lower left, lower right, upper left, upper right):
+# a square of side s has its lower-left corner at s times these
+_C2_QUADRANTS = np.array(((-1.0, 0.0, -1.0, 0.0), (-1.0, -1.0, 0.0, 0.0)))
+_C2_ORIGIN = np.array(((-_C2_BOX / 2,), (_C2_CELL,)))
 
 
 class FailReason(enum.Enum):
@@ -91,11 +103,81 @@ class Instance:
         return len(self.sides)
 
 
-@dataclass(frozen=True)
+class Placements(Sequence[PlacedSquare]):
+    """Read-only sequence of PlacedSquare over three float64 columns.
+
+    Indexing and iteration build each PlacedSquare on demand; a slice is a
+    view of the same kind.  A view compares equal to another view, or to a
+    tuple, holding the same squares in the same order."""
+
+    __slots__ = ("x", "y", "side")
+
+    def __init__(self, x: object, y: object, side: object) -> None:
+        # one read-only copy holds all three columns
+        try:
+            columns = np.array((x, y, side), dtype=np.float64)
+        except ValueError:
+            columns = None
+        if columns is None or columns.ndim != 2:
+            raise InputError("placement columns must be one-dimensional and of equal length")
+        columns.flags.writeable = False
+        self.x, self.y, self.side = columns[0], columns[1], columns[2]
+
+    @classmethod
+    def of(cls, squares: Sequence[PlacedSquare]) -> "Placements":
+        """The columns of any sequence of PlacedSquare (a view is returned
+        as it is)."""
+        if isinstance(squares, Placements):
+            return squares
+        return cls([p.x for p in squares], [p.y for p in squares], [p.side for p in squares])
+
+    def __len__(self) -> int:
+        return len(self.side)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Placements(self.x[i], self.y[i], self.side[i])
+        return PlacedSquare(float(self.x[i]), float(self.y[i]), float(self.side[i]))
+
+    def __iter__(self):
+        return map(PlacedSquare, self.x.tolist(), self.y.tolist(), self.side.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Placements):
+            other = tuple(other)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Placements({list(self)!r})"
+
+
+@dataclass(frozen=True, eq=False)
 class Packing:
-    placements: "tuple[PlacedSquare, ...]"  # aligned with the input order
+    """A packing as read-only float64 columns x, y (lower-left corners) and
+    side, in input order; `placements` views them as PlacedSquare."""
+
+    x: np.ndarray
+    y: np.ndarray
+    side: np.ndarray
     case: str
     total_area: float
+    placements: Placements = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        view = Placements(self.x, self.y, self.side)
+        object.__setattr__(self, "x", view.x)
+        object.__setattr__(self, "y", view.y)
+        object.__setattr__(self, "side", view.side)
+        object.__setattr__(self, "placements", view)
+
+    @classmethod
+    def from_placements(
+        cls, placements: Sequence[PlacedSquare], case: str, total_area: float
+    ) -> "Packing":
+        view = Placements.of(placements)
+        return cls(view.x, view.y, view.side, case, total_area)
 
 
 @dataclass(frozen=True)
@@ -145,24 +227,36 @@ def shelf_pack(
     Returns the lower-left positions of the placed prefix and the index of
     the first side that did not fit (None if all fit).  Shelves run
     horizontally; each shelf's height is its first square."""
-    positions: "list[tuple[float, float]]" = []
+    xs, ys, fail = _shelf_columns(width, height, sides, tol)
+    return list(zip(xs, ys)), fail
+
+
+def _shelf_columns(
+    width: float, height: float, sides: Sequence[float], tol: float
+) -> "tuple[list[float], list[float], Optional[int]]":
+    """shelf_pack with the placed prefix as separate x and y lists."""
+    xs: "list[float]" = []
+    ys: "list[float]" = []
+    x_max, y_max = width + tol, height + tol
     shelf_y = 0.0
     shelf_h = 0.0
     cursor = 0.0
     for i, s in enumerate(sides):
-        if s > width + tol:
-            return positions, i
-        if positions and s <= shelf_h and cursor + s <= width + tol:
-            positions.append((cursor, shelf_y))
+        if s > x_max:
+            return xs, ys, i
+        if xs and s <= shelf_h and cursor + s <= x_max:
+            xs.append(cursor)
+            ys.append(shelf_y)
             cursor += s
             continue
         # open a new shelf (also handles the very first square)
         new_y = shelf_y + shelf_h
-        if new_y + s > height + tol:
-            return positions, i
+        if new_y + s > y_max:
+            return xs, ys, i
         shelf_y, shelf_h, cursor = new_y, s, s
-        positions.append((0.0, shelf_y))
-    return positions, None
+        xs.append(0.0)
+        ys.append(shelf_y)
+    return xs, ys, None
 
 
 @dataclass
@@ -202,14 +296,14 @@ class _Pocket:
             return inner, inner + side
         return inner - side, inner
 
-    def try_place(self, side: float) -> Optional[PlacedSquare]:
+    def try_place(self, side: float) -> Optional[Corner]:
         if side > self.geo.sigma + self.tol:
             return None
         if self.horizontal:
             return self._try_shelves(side)
         return self._try_strips(side)
 
-    def _try_shelves(self, side: float) -> Optional[PlacedSquare]:
+    def _try_shelves(self, side: float) -> Optional[Corner]:
         if self.shelves:
             sh = self.shelves[-1]
             if side <= sh.height + self.tol:
@@ -219,7 +313,7 @@ class _Pocket:
                 )
                 if y is not None:
                     sh.frontier += self.direction * side
-                    return PlacedSquare(x_lo, y, side)
+                    return x_lo, y
         floor = (
             self.shelves[-1].y0 + self.shelves[-1].height
             if self.shelves
@@ -230,9 +324,9 @@ class _Pocket:
         if y is None:
             return None
         self.shelves.append(_Shelf(y0=floor, height=side, frontier=self.inner_x + self.direction * side))
-        return PlacedSquare(x_lo, y, side)
+        return x_lo, y
 
-    def _try_strips(self, side: float) -> Optional[PlacedSquare]:
+    def _try_strips(self, side: float) -> Optional[Corner]:
         if self.strips:
             st = self.strips[-1]
             if side <= st.width + self.tol:
@@ -242,7 +336,7 @@ class _Pocket:
                 )
                 if y is not None:
                     st.cursor = y + side
-                    return PlacedSquare(x_lo, y, side)
+                    return x_lo, y
         base = (
             self.strips[-1].base + self.direction * self.strips[-1].width
             if self.strips
@@ -254,7 +348,7 @@ class _Pocket:
         if y is None:
             return None
         self.strips.append(_Strip(base=base, width=side, cursor=y + side))
-        return PlacedSquare(x_lo, y, side)
+        return x_lo, y
 
 
 class _Subcontainer:
@@ -284,7 +378,7 @@ class _Subcontainer:
             side, x_lo, x_hi, flush, self.top - side, flush, self.tol
         )
 
-    def try_place(self, side: float) -> Optional[PlacedSquare]:
+    def try_place(self, side: float) -> Optional[Corner]:
         if side > self.height + self.tol:
             return None
         if self.strips:
@@ -293,7 +387,7 @@ class _Subcontainer:
                 y = self._attempt(st, side, is_new=False)
                 if y is not None:
                     st.cursor = y if self.support_top else y + side
-                    return PlacedSquare(st.base, y, side)
+                    return st.base, y
         base = (
             self.strips[-1].base + self.strips[-1].width
             if self.strips
@@ -305,7 +399,7 @@ class _Subcontainer:
             return None
         st.cursor = y if self.support_top else y + side
         self.strips.append(st)
-        return PlacedSquare(base, y, side)
+        return base, y
 
 
 def _chord(y_t: float, h: float) -> float:
@@ -326,8 +420,9 @@ class PackState:
     subcontainers: "list[_Subcontainer]"
 
 
-def top_pack_try(state: PackState, side: float) -> Optional[PlacedSquare]:
-    """Try the left then the right pocket beside the top square."""
+def top_pack_try(state: PackState, side: float) -> Optional[Corner]:
+    """Lower-left corner in the left, else the right pocket beside the top
+    square."""
     for pocket in state.pockets:
         sq = pocket.try_place(side)
         if sq is not None:
@@ -335,8 +430,9 @@ def top_pack_try(state: PackState, side: float) -> Optional[PlacedSquare]:
     return None
 
 
-def bottom_pack(state: PackState, side: float) -> Optional[PlacedSquare]:
-    """Place into the last subcontainer, or slice a new one below it."""
+def bottom_pack(state: PackState, side: float) -> Optional[Corner]:
+    """Lower-left corner in the last subcontainer, or in a new one sliced
+    below it."""
     if state.subcontainers:
         sq = state.subcontainers[-1].try_place(side)
         if sq is not None:
@@ -362,26 +458,24 @@ def _instance(sides: Union[Instance, Sequence[float]]) -> Instance:
     return Instance(tuple(float(s) for s in sides))
 
 
-def _sorted_order(sides: Sequence[float]) -> "list[int]":
-    return sorted(range(len(sides)), key=lambda i: (-sides[i], i))
+def _by_size(inst: Instance) -> "tuple[np.ndarray, np.ndarray]":
+    """The sides as a float64 column and their order by nonincreasing side,
+    ties in input order."""
+    side = np.array(inst.sides, dtype=np.float64)
+    return side, np.argsort(-side, kind="stable")
 
 
-def _result(
-    case: str,
-    sides: Sequence[float],
-    by_index: "dict[int, PlacedSquare]",
-    failed: Optional[int],
-) -> PackResult:
-    total = sum(s * s for s in sides)
-    if failed is None:
-        placements = tuple(by_index[i] for i in range(len(sides)))
-        return PackResult(True, Packing(placements, case, total), None, None)
+def _packed(case: str, inst: Instance, x: object, y: object, side: np.ndarray) -> PackResult:
+    return PackResult(True, Packing(x, y, side, case, inst.total_area), None, None)
+
+
+def _failed(inst: Instance, index: int) -> PackResult:
     reason = (
         FailReason.AREA_EXCEEDS_GUARANTEE
-        if total > CONSTANTS.critical_area
+        if inst.total_area > CONSTANTS.critical_area
         else FailReason.NO_PLACEMENT_FOUND
     )
-    return PackResult(False, None, failed, reason)
+    return PackResult(False, None, index, reason)
 
 
 def _check_tol(tol: float) -> None:
@@ -389,26 +483,36 @@ def _check_tol(tol: float) -> None:
         raise InputError(f"tol must be finite and in [0, {MAX_TOL:g}], got {tol!r}")
 
 
+def _shelved(
+    inst: Instance,
+    side: np.ndarray,
+    order: np.ndarray,
+    head: np.ndarray,
+    box: float,
+    origin: np.ndarray,
+    case: str,
+    tol: float,
+) -> PackResult:
+    """The four largest squares at the lower-left corners `head` (an x and a
+    y row, a column per square in filling order), the rest shelf packed into
+    a box x box square whose lower-left corner is the column `origin`."""
+    rest = order[4:]
+    px, py, fail = _shelf_columns(box, box, side[rest].tolist(), tol)
+    if fail is not None:
+        return _failed(inst, int(rest[fail]))
+    xy = np.empty((2, len(side)))
+    xy[:, order] = np.concatenate((head, np.add((px, py), origin)), axis=1)
+    return _packed(case, inst, xy[0], xy[1], side)
+
+
 def pack_c1(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
     """Concentric container of side 1.388 plus four side pockets; requires
     every side at most 0.295."""
     _check_tol(tol)
     inst = _instance(sides)
-    order = _sorted_order(inst.sides)
-    by_index: "dict[int, PlacedSquare]" = {}
-    for slot, i in enumerate(order[:4]):
-        ox, oy = _C1_POCKET_ORIGINS[slot]
-        by_index[i] = PlacedSquare(ox, oy, inst.sides[i])
-    rest = order[4:]
-    positions, fail = shelf_pack(
-        _C1_CONTAINER, _C1_CONTAINER, [inst.sides[i] for i in rest], tol
-    )
-    for (px, py), i in zip(positions, rest):
-        by_index[i] = PlacedSquare(
-            px - _C1_CONTAINER / 2, py - _C1_CONTAINER / 2, inst.sides[i]
-        )
-    failed = None if fail is None else rest[fail]
-    return _result("C1", inst.sides, by_index, failed)
+    side, order = _by_size(inst)
+    head = _C1_POCKETS[:, : len(order)]
+    return _shelved(inst, side, order, head, _C1_CONTAINER, _C1_ORIGIN, "C1", tol)
 
 
 def pack_c2(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
@@ -416,31 +520,21 @@ def pack_c2(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
     rest shelf packed into a container of side sqrt(2)/5 on top of it."""
     _check_tol(tol)
     inst = _instance(sides)
-    order = _sorted_order(inst.sides)
-    by_index: "dict[int, PlacedSquare]" = {}
-    # quadrant cells, each cornered at the disk center
-    corners = ((-1, -1), (1, -1), (-1, 1), (1, 1))
-    for slot, i in enumerate(order[:4]):
-        s = inst.sides[i]
-        cx, cy = corners[slot]
-        by_index[i] = PlacedSquare(0.0 if cx > 0 else -s, 0.0 if cy > 0 else -s, s)
-    rest = order[4:]
-    positions, fail = shelf_pack(_C2_BOX, _C2_BOX, [inst.sides[i] for i in rest], tol)
-    for (px, py), i in zip(positions, rest):
-        by_index[i] = PlacedSquare(px - _C2_BOX / 2, py + _C2_CELL, inst.sides[i])
-    failed = None if fail is None else rest[fail]
-    return _result("C2", inst.sides, by_index, failed)
+    side, order = _by_size(inst)
+    s = side[order[:4]]
+    head = _C2_QUADRANTS[:, : len(s)] * s
+    return _shelved(inst, side, order, head, _C2_BOX, _C2_ORIGIN, "C2", tol)
 
 
 def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
     """Topmost square plus pocket and subcontainer packing."""
     _check_tol(tol)
     inst = _instance(sides)
-    order = _sorted_order(inst.sides)
+    side, by_size = _by_size(inst)
+    order = by_size.tolist()
     s1 = inst.sides[order[0]]
-    by_index: "dict[int, PlacedSquare]" = {}
     if s1 > SQRT2 + 1e-12:
-        return _result("C3", inst.sides, by_index, order[0])
+        return _failed(inst, order[0])
     geo = pocket_geometry(s1)
     state = PackState(
         s1=s1,
@@ -449,16 +543,17 @@ def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
         pockets=[_Pocket(geo, -1, tol), _Pocket(geo, +1, tol)],
         subcontainers=[],
     )
-    by_index[order[0]] = PlacedSquare(-s1 / 2, T_inv(s1), s1)
+    x, y = [0.0] * len(order), [0.0] * len(order)
+    x[order[0]], y[order[0]] = -s1 / 2, T_inv(s1)
     for i in order[1:]:
         s = inst.sides[i]
-        sq = top_pack_try(state, s)
-        if sq is None:
-            sq = bottom_pack(state, s)
-        if sq is None:
-            return _result("C3", inst.sides, by_index, i)
-        by_index[i] = sq
-    return _result("C3", inst.sides, by_index, None)
+        corner = top_pack_try(state, s)
+        if corner is None:
+            corner = bottom_pack(state, s)
+        if corner is None:
+            return _failed(inst, i)
+        x[i], y[i] = corner
+    return _packed("C3", inst, x, y, side)
 
 
 def pack(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
@@ -469,13 +564,11 @@ def pack(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> P
     _check_tol(tol)
     inst = _instance(sides)
     if not inst.sides:
-        return PackResult(True, Packing((), "C3", 0.0), None, None)
-    order = _sorted_order(inst.sides)
-    s1 = inst.sides[order[0]]
-    if s1 <= _C1_POCKET:
+        return PackResult(True, Packing((), (), (), "C3", 0.0), None, None)
+    top = heapq.nlargest(4, inst.sides)
+    if top[0] <= _C1_POCKET:
         return pack_c1(inst, tol)
-    top4 = sum(inst.sides[i] ** 2 for i in order[:4])
-    if s1 <= 1 / SQRT2 and top4 >= _C2_TOP4_AREA:
+    if top[0] <= 1 / SQRT2 and sum(s ** 2 for s in top) >= _C2_TOP4_AREA:
         return pack_c2(inst, tol)
     return pack_c3(inst, tol)
 
@@ -493,6 +586,9 @@ def validate(placements: Sequence[PlacedSquare], tol: float = DEFAULT_TOL) -> Va
     """Check containment (corner norms at most 1 + tol) and pairwise
     disjointness (squares_overlap: interiors shrunk by tol per side).
 
+    placements is a Placements view, whose columns are read as they are, or
+    any other sequence of PlacedSquare.
+
     containment_violations holds the offending indices in ascending order;
     overlap_violations holds the overlapping pairs (i, j), i < j, in
     ascending order.  tol must lie in [0, MAX_TOL]; anything else raises
@@ -500,16 +596,17 @@ def validate(placements: Sequence[PlacedSquare], tol: float = DEFAULT_TOL) -> Va
     large squares over many tiny ones stay near-linear (see
     _overlap_pairs)."""
     _check_tol(tol)
-    n = len(placements)
+    view = Placements.of(placements)
+    n = len(view)
     if n == 0:
         return ValidationReport(True, 0, (), (), 0.0)
-    xs = [p.x for p in placements]
-    ys = [p.y for p in placements]
-    x, y, s = np.array(xs), np.array(ys), np.array([p.side for p in placements])
+    x, y, s = view.x, view.y, view.side
     x2, y2 = x + s, y + s  # bit-equal to PlacedSquare.x2 / .y2
     norms = np.hypot(np.maximum(np.abs(x), np.abs(x2)), np.maximum(np.abs(y), np.abs(y2)))
     containment = tuple(np.flatnonzero(~(norms <= 1.0 + tol)).tolist())
-    overlaps = tuple(sorted(_overlap_pairs(xs, ys, x2.tolist(), y2.tolist(), 2 * tol)))
+    overlaps = tuple(
+        sorted(_overlap_pairs(x.tolist(), y.tolist(), x2.tolist(), y2.tolist(), 2 * tol))
+    )
     ok = not containment and not overlaps
     return ValidationReport(ok, n, containment, overlaps, float(norms.max()))
 
@@ -557,7 +654,7 @@ def _overlap_pairs(
     # removals before additions at one abscissa
     m = len(live)
     at = [x2s[i] for i in live] + [xs[i] for i in live]
-    events = sorted(range(2 * m), key=at.__getitem__)
+    events = np.argsort(at, kind="stable").tolist()
     pairs: "list[tuple[int, int]]" = []
     big: "list[int]" = []  # the active large squares
     act_y: "list[float]" = []  # the other active squares, by bottom ordinate

@@ -31,7 +31,7 @@ from diskpack.prover import lemma_names
 
 def _doc(placements, case="C3"):
     total = sum(p.side**2 for p in placements)
-    packing = Packing(tuple(placements), case, total)
+    packing = Packing.from_placements(placements, case, total)
     return format_document(packing, validate(placements, 1e-9))
 
 
@@ -197,7 +197,7 @@ class TestPackVerifyFlow:
 
     def test_pack_never_exits_ok_on_a_packing_it_rejects(self, tmp_path, monkeypatch, capsys):
         p = PlacedSquare(-0.25, -0.25, 0.5)
-        overlapping = PackResult(True, Packing((p, p), "C3", 0.5), None, None)
+        overlapping = PackResult(True, Packing.from_placements((p, p), "C3", 0.5), None, None)
         monkeypatch.setattr(cli, "pack", lambda inst, tol: overlapping)
         inst = tmp_path / "inst.txt"
         inst.write_text("0.5\n0.5\n")
@@ -225,7 +225,7 @@ class TestSvg:
 
     def test_largest_square_shaded_distinctly(self):
         placements = [PlacedSquare(-0.1, -0.4, 0.3), PlacedSquare(-0.3, 0.0, 0.6)]
-        svg = format_svg(Packing(tuple(placements), "C3", 0.45))
+        svg = format_svg(Packing.from_placements(placements, "C3", 0.45))
         rects = [l for l in svg.splitlines() if "<rect" in l]
         assert "#f59e0b" in rects[1]  # index 1 holds the larger side
         assert "#93c5fd" in rects[0]

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 import random
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diskpack.cli import format_document, format_svg
 from diskpack.errors import InputError
-from diskpack.geometry import CONSTANTS, PlacedSquare
+from diskpack.geometry import CONSTANTS, PlacedSquare, T_inv
 from diskpack.packer import (
     FailReason,
     Instance,
+    Packing,
+    Placements,
     gen_random,
     gen_worst_case,
     pack,
@@ -86,6 +92,95 @@ class TestDispatch:
         assert validate(res.packing.placements, 1e-9).ok
 
 
+def _rule_case(sides):
+    """The dispatch rule written out over a full sort of the sides:
+    nonincreasing side, ties in input order."""
+    order = sorted(range(len(sides)), key=lambda i: (-sides[i], i))
+    s1 = sides[order[0]]
+    if s1 <= 0.295:
+        return "C1"
+    top4 = sum(sides[i] ** 2 for i in order[:4])
+    if s1 <= 1 / math.sqrt(2.0) and top4 >= 39.0 / 25.0:
+        return "C2"
+    return "C3"
+
+
+def _top4_at(target):
+    """Sides 0.7, 0.68, 0.67, d whose top-4 area, summed largest first,
+    is exactly the double `target`."""
+    head = [0.7, 0.68, 0.67]
+    d = math.sqrt(target - sum(s**2 for s in head))
+    for _ in range(64):
+        got = sum(s**2 for s in head + [d])
+        if got == target:
+            return head + [d]
+        d = math.nextafter(d, math.inf if got < target else 0.0)
+    raise AssertionError(f"no fourth side reaches {target!r}")
+
+
+class TestDispatchBoundaries:
+    """pack picks its case from the four largest sides without sorting; on
+    each boundary the case must be the rule's, and ties must keep input
+    order."""
+
+    C2_AREA = 39.0 / 25.0
+    TAIL = [0.05, 0.04, 0.05]
+
+    def _check(self, sides, want):
+        res = pack(sides)
+        assert res.ok, (res.failed_index, res.reason)
+        assert res.packing.case == _rule_case(sides) == want
+
+    def test_s1_exactly_at_the_pocket_side(self):
+        self._check([0.2, 0.295, 0.1, 0.2], "C1")
+        self._check([0.2, math.nextafter(0.295, 1.0), 0.1, 0.2], "C3")
+
+    def test_s1_exactly_at_the_inscribed_quadrant(self):
+        s1 = 1 / math.sqrt(2.0)
+        self._check([0.6, 0.6, s1, 0.6] + self.TAIL, "C2")
+        self._check([0.6, 0.6, math.nextafter(s1, 2.0), 0.6] + self.TAIL, "C3")
+
+    @pytest.mark.parametrize("ulps, want", [(-1, "C3"), (0, "C2"), (1, "C2")])
+    def test_top4_area_around_39_over_25(self, ulps, want):
+        target = self.C2_AREA
+        for _ in range(abs(ulps)):
+            target = math.nextafter(target, ulps * math.inf)
+        top = _top4_at(target)
+        sides = self.TAIL[:2] + top[3:] + top[:2] + self.TAIL[2:] + top[2:3]
+        self._check(sides, want)
+        if ulps == -1:
+            # summed in 22 of the 24 orders, smallest first among them,
+            # these areas reach 39/25: only the largest-first sum keeps the
+            # instance out of C2
+            sums = [sum(s**2 for s in p) for p in itertools.permutations(top)]
+            assert sums.count(self.C2_AREA) == 22
+            assert sum(s**2 for s in sorted(top)) == self.C2_AREA
+
+    def test_tied_sides_fill_in_input_order(self):
+        c1 = [0.1] + [0.25] * 6
+        c2 = [0.05, 0.625, 0.63, 0.625, 0.625, 0.05]
+        c3 = [0.3, 0.8, 0.8, 0.3]
+        for sides, want in ((c1, "C1"), (c2, "C2"), (c3, "C3")):
+            self._check(sides, want)
+        # the first four of the tied largest take the pockets top, bottom,
+        # left, right; the later ones go to the shelves
+        p = pack(c1).packing.placements
+        c, q = 1.388, 0.295  # the container and pocket sides
+        pockets = [(-q / 2, c / 2), (-q / 2, -c / 2 - q), (-c / 2 - q, -q / 2), (c / 2, -q / 2)]
+        assert [(p[i].x, p[i].y) for i in (1, 2, 3, 4)] == pockets
+        assert p[5].y == p[6].y == -0.694 and p[5].x == -0.694 < p[6].x
+        # quadrants fill lower-left, lower-right, upper-left, upper-right
+        p = pack(c2).packing.placements
+        assert [(p[i].x, p[i].y) for i in (2, 1, 3, 4)] == [
+            (-0.63, -0.63), (0.0, -0.625), (-0.625, 0.0), (0.0, 0.0)
+        ]
+        assert p[0].y > 0.7 and p[5].y > 0.7
+        # the first of two equal largest squares goes on top
+        p = pack(c3).packing.placements
+        assert (p[1].x, p[1].y) == (-0.4, T_inv(0.8))
+        assert p[2].y < p[1].y
+
+
 class TestResultShape:
     def test_placements_follow_input_order(self):
         sides = [0.3, 0.8, 0.5, 0.65]
@@ -104,6 +199,67 @@ class TestResultShape:
         assert res.ok
         assert res.packing.placements == ()
         assert res.packing.total_area == 0.0
+        assert len(res.packing.placements) == 0 and list(res.packing.placements) == []
+
+
+class TestPlacementsView:
+    SIDES = [0.3, 0.8, 0.5, 0.65, 0.1]
+
+    def test_columns_follow_input_order(self):
+        packing = pack(self.SIDES).packing
+        for col in (packing.x, packing.y, packing.side):
+            assert isinstance(col, np.ndarray) and col.dtype == np.float64
+            assert col.shape == (len(self.SIDES),)
+        assert packing.side.tolist() == self.SIDES
+
+    def test_sequence_protocol(self):
+        packing = pack(self.SIDES).packing
+        view = packing.placements
+        assert len(view) == len(self.SIDES)
+        squares = list(view)
+        assert all(type(p) is PlacedSquare for p in squares)
+        assert [p.side for p in squares] == self.SIDES
+        for i in range(len(self.SIDES)):
+            want = PlacedSquare(packing.x[i].item(), packing.y[i].item(), self.SIDES[i])
+            assert view[i] == squares[i] == want
+            assert view[i - len(self.SIDES)] == want
+            assert type(view[i].x) is float
+        with pytest.raises(IndexError):
+            view[len(self.SIDES)]
+        with pytest.raises(IndexError):
+            view[-len(self.SIDES) - 1]
+        assert view[1:3] == tuple(squares[1:3])
+        assert squares[2] in view and view.index(squares[2]) == 2
+
+    def test_equals_the_tuple_it_replaces(self):
+        packing = pack(self.SIDES).packing
+        squares = tuple(
+            PlacedSquare(x, y, s)
+            for x, y, s in zip(packing.x.tolist(), packing.y.tolist(), packing.side.tolist())
+        )
+        view = packing.placements
+        assert view == squares and squares == view
+        assert view == Placements.of(list(squares))
+        assert view != squares[:-1] and view != squares[::-1]
+        assert view != list(squares)  # as the tuple was never equal to a list
+
+    def test_columns_are_read_only(self):
+        packing = pack(self.SIDES).packing
+        with pytest.raises(ValueError):
+            packing.x[0] = 5.0
+        with pytest.raises(ValueError):
+            packing.placements.side[0] = 5.0
+
+    def test_constructors(self):
+        squares = [PlacedSquare(-0.5, -0.25, 0.5), PlacedSquare(0.0, -0.25, 0.5)]
+        by_columns = Packing([-0.5, 0.0], [-0.25, -0.25], [0.5, 0.5], "C3", 0.5)
+        from_squares = Packing.from_placements(squares, "C3", 0.5)
+        assert by_columns.placements == from_squares.placements == tuple(squares)
+        assert (from_squares.case, from_squares.total_area) == ("C3", 0.5)
+        with pytest.raises(InputError):
+            Packing([0.0], [0.0, 1.0], [0.5], "C3", 0.25)
+        with pytest.raises(InputError):
+            Placements([[0.0]], [[0.0]], [[0.5]])
 
     def test_instance_rejects_bad_sides(self):
         with pytest.raises(InputError):
@@ -112,6 +268,97 @@ class TestResultShape:
             Instance((float("nan"),))
         with pytest.raises(InputError):
             Instance((0.0,))
+
+
+def _heavy_c3(seed, n, s1):
+    """An instance like the c3_cli benchmark's: one square s1 and n - 1
+    squares s1 * u**3, scaled to total area 1.6, in a seeded order."""
+    rng = random.Random(seed)
+    w = [rng.random() ** 3 for _ in range(n - 1)]
+    f = math.sqrt((1.6 - s1 * s1) / sum(x * x for x in w))
+    sides = [s1] + [f * x for x in w]
+    rng.shuffle(sides)
+    return Instance(tuple(sides))
+
+
+# (generator, its arguments, case, SHA-256 of the packing document, prefix
+# of the SHA-256 of the SVG).  A "gen" row (dist, n, area) is
+# gen_random(i, n, area, dist) for its index i in this list.
+GOLDEN = [
+    ("gen", ("uniform", 1, 1.6), "C3",
+     "48cd8632d01fa946b9c25d099c4b35cf0c10973faa712772e15b9c9774a4c3ad", "6873175e0a7167c6"),
+    ("gen", ("uniform", 4, 1.6), "C3",
+     "445cd0b4f2efcd1899fc05a8d97f86199dcef5b6df3dec4ac412246622b8a674", "bbf5cf2627e270ad"),
+    ("gen", ("uniform", 30, 1.6), "C3",
+     "73eee06e8e1dc439f632c7c3ea1bde91421e0fe853bcb4ed60970c1260d68e64", "f41289efe3b26f85"),
+    ("gen", ("uniform", 1000, 1.6), "C1",
+     "8b6c8489a0b9ff5247e000c0058362c9134906f54727c59917204dd9f2db7b24", "369370f273a25ae7"),
+    ("gen", ("uniform", 10000, 1.6), "C1",
+     "7e9acb5e7e87564bc1fd1728afe891900d1f1cbcbe514303b5d6b053da52f94a", "597ff04238eb5998"),
+    ("gen", ("powerlaw", 1, 0.8), "C3",
+     "d0b67123ff2be46aaaf21a6eeaadec041ca304b7a41120c0ca8c665b1670ea29", "1ee883a67df0f08e"),
+    ("gen", ("powerlaw", 4, 1.6), "C3",
+     "baa499d9683d31c460cab6bf761a7c7c011cef1944b4e70284d3f41e144306cf", "c0502da32e94196d"),
+    ("gen", ("powerlaw", 30, 1.6), "C3",
+     "b24a0d6cfae16da42c2622426672b8124afcd82cb498bfa7ba2a03a583dc0e30", "957b262869430d54"),
+    ("gen", ("powerlaw", 1000, 1.6), "C1",
+     "3fa21d7d57ef104cbeabaa88d427b988ca9b0b11a04564d006a5d61cbd2913ee", "a7980c3a5545f178"),
+    ("gen", ("powerlaw", 10000, 1.2), "C1",
+     "0eafdd23e45dbea0d3692803f6fb99448ce6d492325ba7757d50f79d41877530", "75ed11b1f63bb4c5"),
+    ("gen", ("equal", 1, 1.0), "C3",
+     "9998c9bca3981dbab6b5e760f43acc52c3a27d267e261eed8f5cead43650a69d", "e65964736f669885"),
+    ("gen", ("equal", 4, 1.6), "C2",
+     "2fc6ae72c39948441cd020a5b31822452a6cedc0c268fe1e8b92dd236ff8d59d", "6f80000e47bea322"),
+    ("gen", ("equal", 30, 1.6), "C1",
+     "dc9f735f7821d97caf0157378b00c3e2218d8935af2a9b32359ca6bb16bf9024", "72daac500a2562b5"),
+    ("gen", ("equal", 1000, 0.8), "C1",
+     "6f9b446f16026bb782793549e27958ab7df2863e05d89c13fcd519eac1560ded", "19300bf8b472df27"),
+    ("gen", ("equal", 10000, 1.6), "C1",
+     "061ee85026f18a2f1472faa24bd5c4d7449344585a4f05f3bfd1dd645b625abe", "c5161ab2374df5dd"),
+    ("gen", ("adversarial_top4", 4, 1.6), "C2",
+     "cdd99a8e4e9d4731ce7f0d1a4f8b927073ac7ba2b3eea0777fb5748fc95dcacd", "d4e9b8cb40f98682"),
+    ("gen", ("adversarial_top4", 4, 0.8), "C3",
+     "2928fcd14791ee57f6c7f8376a197da815efa6b2c6997aef7aa2303877997382", "3d4df778fc8288ce"),
+    ("gen", ("adversarial_top4", 30, 1.6), "C2",
+     "bda5e7a8375d4581aa72ba98831a3ca00e2bfbb777227292b0404782f3e4c8b1", "f46ecb28a853e176"),
+    ("gen", ("adversarial_top4", 1000, 0.8), "C3",
+     "253fd063622d99f0fe7d180e16560984fb635e3c69ea40f64332f823b2c2acbd", "f81ca6ba1ec8d653"),
+    ("gen", ("adversarial_top4", 10000, 1.6), "C2",
+     "c67bb0296fbcfd0dfff4278dbc3015bc3010c3b2b876a78649f4fcd006520d00", "2b965081a611b2ab"),
+    ("gen", ("adversarial_top4", 10000, 0.8), "C3",
+     "7536a5881b59b167a26f9ee5208e146b7bad33c3ac04d31e756d9549b9082afb", "830ee9bfae174ef2"),
+    ("heavy", (101, 3000, 0.9), "C3",
+     "3e7da0e4f731ee9a43cb16de77d51f1e4ea4767316b7d49b3928c3d395cbc49e", "5bc50d7dc6ad5673"),
+    ("heavy", (102, 3000, 1.0), "C3",
+     "30d38e63f32998ce793335a49a1117e2f201c6446173bd612e63d0423fc12544", "4837d0a8eff8507b"),
+    ("heavy", (103, 300, 1.15), "C3",
+     "98b7b8fe13f268f157e9bb0861ca6de6b84c5c8410b9e8aa74cab14c8ce9ff00", "8a87be2fe25f2f9f"),
+]
+
+
+class TestGoldenOutput:
+    """Packing documents and SVGs, placements and validation summary
+    included, are pinned bit for bit: a change to the order of placement,
+    to a float expression or to the dispatch shows up here."""
+
+    @pytest.mark.parametrize("i", range(len(GOLDEN)))
+    def test_documents_are_unchanged(self, i):
+        kind, args, case, doc_sha, svg_sha = GOLDEN[i]
+        if kind == "gen":
+            dist, n, area = args
+            inst = gen_random(i, n, area, dist)
+        else:
+            inst = _heavy_c3(*args)
+        res = pack(inst)
+        assert res.ok and res.packing.case == case
+        doc = format_document(res.packing, validate(res.packing.placements))
+        assert hashlib.sha256(doc.encode()).hexdigest() == doc_sha
+        svg = format_svg(res.packing)
+        assert hashlib.sha256(svg.encode()).hexdigest()[:16] == svg_sha
+
+    def test_every_case_is_pinned(self):
+        assert {row[2] for row in GOLDEN} == {"C1", "C2", "C3"}
+        assert {row[1][0] for row in GOLDEN if row[0] == "gen"} == set(DISTS)
 
 
 class TestValidateSynthetic:
@@ -158,9 +405,23 @@ class TestValidateSynthetic:
                 pack_case([0.2] * 4, tol)
 
 
+def _report_fields(rep):
+    # repr tells NaN and -0.0 apart, so equal fields mean identical reports
+    return (
+        rep.ok,
+        rep.checked,
+        rep.containment_violations,
+        rep.overlap_violations,
+        repr(rep.max_corner_norm),
+    )
+
+
 def _assert_matches_brute_force(placements, tol):
+    """validate against the oracle, on a Placements view and on a plain
+    list of PlacedSquare, whose reports must agree field for field."""
     escaped, pairs, max_norm = oracles.brute_force_validation(placements, tol)
-    rep = validate(placements, tol)
+    rep = validate(Placements.of(placements), tol)
+    assert _report_fields(validate(list(placements), tol)) == _report_fields(rep)
     assert rep.checked == len(placements)
     assert list(rep.containment_violations) == escaped
     assert list(rep.overlap_violations) == sorted(rep.overlap_violations)  # ascending (i, j)
