@@ -201,6 +201,14 @@ class TestResultShape:
         assert res.packing.total_area == 0.0
         assert len(res.packing.placements) == 0 and list(res.packing.placements) == []
 
+    def test_instance_rejects_bad_sides(self):
+        with pytest.raises(InputError):
+            Instance((0.5, -0.1))
+        with pytest.raises(InputError):
+            Instance((float("nan"),))
+        with pytest.raises(InputError):
+            Instance((0.0,))
+
 
 class TestPlacementsView:
     SIDES = [0.3, 0.8, 0.5, 0.65, 0.1]
@@ -260,14 +268,6 @@ class TestPlacementsView:
             Packing([0.0], [0.0, 1.0], [0.5], "C3", 0.25)
         with pytest.raises(InputError):
             Placements([[0.0]], [[0.0]], [[0.5]])
-
-    def test_instance_rejects_bad_sides(self):
-        with pytest.raises(InputError):
-            Instance((0.5, -0.1))
-        with pytest.raises(InputError):
-            Instance((float("nan"),))
-        with pytest.raises(InputError):
-            Instance((0.0,))
 
 
 def _heavy_c3(seed, n, s1):
