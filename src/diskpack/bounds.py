@@ -31,42 +31,60 @@ def B1(h: Numeric, w: Numeric, h_next: Numeric) -> Numeric:
     """Packed-area bound for a wide subcontainer (w >= 2h), as the best of
     three counting arguments: half-full rows, a full row plus h_next-sized
     leftovers, and half-full rows minus one missing h_next square."""
-    if _real(h, w) and w < 2 * h:
-        raise ContractError(f"B1: width {w!r} below twice the height {h!r}")
-    t1 = (h * w) / 2 + square(h) / 4
-    t2 = square(h) + (w - h - h_next) * h_next
-    t3 = (h * (w + h)) / 2 - square(h_next)
-    return smax(smax(t1, t2), t3)
+    return _B1(h, w, h_next, square(h), square(h_next))
 
 
 def B2(h: Numeric, w: Numeric, h_next: Numeric) -> Numeric:
     """Packed-area bound valid for every width regime: a lone square when
     even one more h_next does not fit beside it, a square plus an h_next
     block on narrow widths, and B1 once w >= 2h."""
-
-    def lone() -> Numeric:
-        return square(h)
-
-    def pair() -> Numeric:
-        return square(h) + square(h_next)
-
-    def wide() -> Numeric:
-        return B1(h, w, h_next)
-
-    return branch_lt(w, h + h_next, lone, lambda: branch_lt(w, 2 * h, pair, wide))
+    return _B2(h, w, h_next, square(h), square(h_next))
 
 
 def B3(a: Numeric, h: Numeric, w: Numeric, h_next: Numeric) -> Numeric:
     """Packed-area bound using the residual packed width y_residual: the
     first square plus either a strip of height h_next along the residual or
     the residual squared (capped at two h_next squares)."""
-    y = smax(y_residual(a, h, w, h_next), 0.0)
-    return square(h) + smax(y * h_next, smin(square(y), 2 * square(h_next)))
+    return _B3(a, h, w, h_next, square(h), square(h_next))
 
 
 def B4(a: Numeric, h: Numeric, w: Numeric, h_next: Numeric) -> Numeric:
     """Best of B2 and B3."""
-    return smax(B2(h, w, h_next), B3(a, h, w, h_next))
+    h2, hn2 = square(h), square(h_next)
+    return smax(_B2(h, w, h_next, h2, hn2), _B3(a, h, w, h_next, h2, hn2))
+
+
+# The bodies of B1-B3 take h^2 and h_next^2 as h2 and hn2, so that B4
+# squares each once for both of its bounds.
+
+
+def _B1(h: Numeric, w: Numeric, h_next: Numeric, h2: Numeric, hn2: Numeric) -> Numeric:
+    if _real(h, w) and w < 2 * h:
+        raise ContractError(f"B1: width {w!r} below twice the height {h!r}")
+    t1 = (h * w) / 2 + h2 / 4
+    t2 = h2 + (w - h - h_next) * h_next
+    t3 = (h * (w + h)) / 2 - hn2
+    return smax(smax(t1, t2), t3)
+
+
+def _B2(h: Numeric, w: Numeric, h_next: Numeric, h2: Numeric, hn2: Numeric) -> Numeric:
+    def lone() -> Numeric:
+        return h2
+
+    def pair() -> Numeric:
+        return h2 + hn2
+
+    def wide() -> Numeric:
+        return _B1(h, w, h_next, h2, hn2)
+
+    return branch_lt(w, h + h_next, lone, lambda: branch_lt(w, 2 * h, pair, wide))
+
+
+def _B3(
+    a: Numeric, h: Numeric, w: Numeric, h_next: Numeric, h2: Numeric, hn2: Numeric
+) -> Numeric:
+    y = smax(y_residual(a, h, w, h_next), 0.0)
+    return h2 + smax(y * h_next, smin(square(y), 2 * hn2))
 
 
 def B5(h: Numeric, H: Numeric, A_next: Numeric) -> Numeric:

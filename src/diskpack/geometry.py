@@ -83,7 +83,10 @@ def ell1(s1: Numeric) -> Numeric:
     """Length of the straight bottom boundary of the pocket beside a topmost
     square of side s1: chord half-length at the square's bottom line, minus
     half the square."""
-    ti = T_inv(s1)
+    return _ell1(s1, T_inv(s1))
+
+
+def _ell1(s1: Numeric, ti: Numeric) -> Numeric:
     return sqrt(smax(1 - square(ti), 0.0)) - s1 / 2
 
 
@@ -100,16 +103,18 @@ def sigma(s1: Numeric) -> Numeric:
     if _real(s1) and not 0.0 < s1 < 2.0:
         raise DomainError(f"sigma: side {s1!r} outside (0, 2)")
     thr = enclosure(S1_STAR_ENCLOSURE, s1)
+    return branch_le(
+        s1, thr, lambda: _sigma_resting(s1, T_inv(s1)), lambda: _sigma_centered(s1)
+    )
 
-    def resting() -> Numeric:
-        ti = T_inv(s1)
-        d = s1 - 2 * ti
-        return (-s1 - 2 * ti + sqrt(smax(8 - square(d), 0.0))) / 4
 
-    def centered() -> Numeric:
-        return (sqrt(20 - square(s1)) - 2 * s1) / 5
+def _sigma_resting(s1: Numeric, ti: Numeric) -> Numeric:
+    d = s1 - 2 * ti
+    return (-s1 - 2 * ti + sqrt(smax(8 - square(d), 0.0))) / 4
 
-    return branch_le(s1, thr, resting, centered)
+
+def _sigma_centered(s1: Numeric) -> Numeric:
+    return (sqrt(20 - square(s1)) - 2 * s1) / 5
 
 
 def _segment_area(c: Numeric) -> Numeric:
@@ -201,7 +206,8 @@ class PocketGeometry:
     boundaries; bottom_y is the ordinate of the pocket's usable bottom.
     Below S1_STAR the bottom is the square's own bottom line; above it the
     pocket is truncated at the bottom edge of its inscribed square, where
-    the horizontal boundary length works out to exactly sigma.
+    the horizontal boundary length works out to exactly sigma.  t_inv is
+    T_inv(s1), the ordinate of the topmost square's bottom edge.
     """
 
     s1: float
@@ -210,16 +216,23 @@ class PocketGeometry:
     bx: float
     by: float
     bottom_y: float
+    t_inv: float
 
 
 def pocket_geometry(s1: float) -> PocketGeometry:
-    sg = sigma(s1)
-    l1 = ell1(s1)
+    """The pocket data of a float s1.  T_inv(s1) is evaluated once and
+    shared by ell1, sigma's resting regime and the pocket bounds; the values
+    equal ell1(s1), sigma(s1) and T_inv(s1) exactly."""
     ti = T_inv(s1)
+    l1 = _ell1(s1, ti)
     if s1 <= S1_STAR:
-        return PocketGeometry(s1=s1, sigma=sg, ell1=l1, bx=l1, by=s1, bottom_y=ti)
+        sg = _sigma_resting(s1, ti)
+        return PocketGeometry(
+            s1=s1, sigma=sg, ell1=l1, bx=l1, by=s1, bottom_y=ti, t_inv=ti
+        )
+    sg = _sigma_centered(s1)
     return PocketGeometry(
-        s1=s1, sigma=sg, ell1=l1, bx=sg, by=ti + s1 + sg / 2, bottom_y=-sg / 2
+        s1=s1, sigma=sg, ell1=l1, bx=sg, by=ti + s1 + sg / 2, bottom_y=-sg / 2, t_inv=ti
     )
 
 

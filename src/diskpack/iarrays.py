@@ -29,6 +29,14 @@ _PI_HI = math.nextafter(math.pi, math.inf)
 # inflation subtracts at least 1.99 * 2^-52 * |x| + the smallest normal,
 # which still exceeds ulp/2 after its own two rounding errors, so the
 # inflated endpoint bounds every real the operation could have produced.
+#
+# _down and _up build the margin in one buffer, in place: |x|, times the
+# relative factor, plus the absolute one, plus x.  _down carries the margin
+# negated, which is exact (round-to-nearest is symmetric in sign), and
+# x + (-m) is x - m.  So both give the doubles that x -/+ (|x| * _OUT_REL +
+# _OUT_ABS) gives with a temporary per operation: same arithmetic, same
+# bound.  An infinite endpoint on the wrong side, _down(+inf) or
+# _up(-inf), comes out NaN, which poisons the lane.
 _OUT_REL = 4.440892098500626e-16  # 2 * 2**-52
 _OUT_ABS = 2.2250738585072014e-308  # smallest normal
 
@@ -38,11 +46,19 @@ _ACOS_SLOP = 2
 
 
 def _down(a: np.ndarray) -> np.ndarray:
-    return a - (np.abs(a) * _OUT_REL + _OUT_ABS)
+    m = np.abs(a)
+    m *= -_OUT_REL
+    m -= _OUT_ABS
+    m += a
+    return m
 
 
 def _up(a: np.ndarray) -> np.ndarray:
-    return a + (np.abs(a) * _OUT_REL + _OUT_ABS)
+    m = np.abs(a)
+    m *= _OUT_REL
+    m += _OUT_ABS
+    m += a
+    return m
 
 
 def _lohi(value: object) -> "tuple[object, object] | None":
@@ -171,15 +187,14 @@ class IntervalArray:
         return num / self
 
     def square(self) -> "IntervalArray":
-        lo2 = self.lo * self.lo
-        hi2 = self.hi * self.hi
-        pos = self.lo >= 0.0
-        neg = self.hi <= 0.0
-        # The straddling case has exact lower bound zero; 0.0 * lo2 keeps
-        # NaN lanes poisoned while giving +0.0 on finite ones.
-        lo = np.where(pos, lo2, np.where(neg, hi2, 0.0 * lo2))
-        hi = np.where(pos, hi2, np.where(neg, lo2, np.maximum(lo2, hi2)))
-        return IntervalArray(np.maximum(_down(lo), 0.0), _up(hi))
+        # Squares of the magnitudes nearest to and farthest from zero: near
+        # is 0 on a lane that straddles zero.  np.maximum propagates NaN, so
+        # a lane with either end NaN is poisoned at both ends.
+        near = np.maximum(np.maximum(self.lo, -self.hi), 0.0)
+        far = np.maximum(-self.lo, self.hi)
+        near *= near
+        far *= far
+        return IntervalArray(np.maximum(_down(near), 0.0), _up(far))
 
     def sqrt(self) -> "IntervalArray":
         with np.errstate(invalid="ignore"):

@@ -44,7 +44,6 @@ from .geometry import (
     PlacedSquare,
     PocketGeometry,
     SQRT2,
-    T_inv,
     pocket_geometry,
 )
 
@@ -439,7 +438,7 @@ def bottom_pack(state: PackState, side: float) -> Optional[Corner]:
             return sq
         top_new = state.subcontainers[-1].bottom
     else:
-        top_new = T_inv(state.s1)
+        top_new = state.geo.t_inv
     if top_new - side < -1.0 - state.tol:
         return None
     if _chord(top_new, side) < side - state.tol:
@@ -544,7 +543,7 @@ def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
         subcontainers=[],
     )
     x, y = [0.0] * len(order), [0.0] * len(order)
-    x[order[0]], y[order[0]] = -s1 / 2, T_inv(s1)
+    x[order[0]], y[order[0]] = -s1 / 2, geo.t_inv
     for i in order[1:]:
         s = inst.sides[i]
         corner = top_pack_try(state, s)

@@ -3,8 +3,9 @@
 Two families live here:
 
 * ``interval_containment_fuzz`` -- vectorized random workloads over every
-  ``IntervalArray`` operation and the monotone ``segment_area_below``
-  enclosure, checking that the float truth of each lane
+  ``IntervalArray`` operation (with add, sub, mul and square also on lanes
+  near overflow and on subnormal lanes) and the monotone
+  ``segment_area_below`` enclosure, checking that the float truth of each lane
   stays inside the computed enclosure (or that the lane is honestly
   poisoned when the operation left its domain);
 * ``hypothesis_samples`` -- random points drawn inside a catalog system's
@@ -14,6 +15,9 @@ Two families live here:
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +38,44 @@ def _enclose(rng: np.random.Generator, points: np.ndarray, scale: float) -> Inte
     lo_pad[exact] = 0.0
     hi_pad[exact] = 0.0
     return IntervalArray(points - lo_pad, points + hi_pad)
+
+
+def _magnitude_lanes(
+    rng: np.random.Generator, lanes: int, lo_exp: float, hi_exp: float
+) -> "tuple[IntervalArray, np.ndarray, np.ndarray]":
+    """Lanes whose ends have magnitudes 10**U(lo_exp, hi_exp): half of them
+    straddle zero, the rest have one random sign; a quarter are points.
+    Returns the lanes, a point inside each, and the straddle mask."""
+    a, b = 10.0 ** rng.uniform(lo_exp, hi_exp, (2, lanes))
+    straddle = rng.random(lanes) < 0.5
+    sign = np.where(rng.random(lanes) < 0.5, -1.0, 1.0)
+    lo = np.where(straddle, -a, sign * np.minimum(a, b))
+    hi = np.where(straddle, b, sign * np.maximum(a, b))
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    u = rng.random(lanes)
+    p = np.clip(lo * (1.0 - u) + hi * u, lo, hi)
+    point = (rng.random(lanes) < 0.25) & ~straddle
+    lo = np.where(point, p, lo)
+    hi = np.where(point, p, hi)
+    return IntervalArray(lo, hi), p, straddle & ~point
+
+
+def _magnitude(x: IntervalArray) -> np.ndarray:
+    return np.maximum(np.abs(x.lo), np.abs(x.hi))
+
+
+def _exact_range(op: str, x: "tuple[Fraction, Fraction]", y: "tuple[Fraction, Fraction]"):
+    """The exact image of the lane(s) under op, in rational arithmetic."""
+    (xl, xh), (yl, yh) = x, y
+    if op == "add":
+        return xl + yl, xh + yh
+    if op == "sub":
+        return xl - yh, xh - yl
+    if op == "mul":
+        products = (xl * yl, xl * yh, xh * yl, xh * yh)
+        return min(products), max(products)
+    squares = (xl * xl, xh * xh)
+    return (Fraction(0) if xl < 0 < xh else min(squares)), max(squares)
 
 
 class _Tally:
@@ -60,6 +102,24 @@ class _Tally:
             bad = bad | (domain_clean & poisoned)
         self.checks += truth.size
         self.violations += int(np.count_nonzero(bad))
+
+    def check_exact(
+        self, op: str, result: IntervalArray, x: IntervalArray, y: IntervalArray, lanes: np.ndarray
+    ) -> None:
+        # Soundness against the exact image of the whole lane: a float truth
+        # is rounded like the endpoints themselves, so it cannot show an
+        # endpoint that rounded inward; a rational one can.  Poisoned lanes
+        # and infinite ends on their own side are sound.
+        for i in lanes:
+            lo, hi = float(result.lo[i]), float(result.hi[i])
+            if math.isnan(lo) or math.isnan(hi):
+                continue
+            ends = [(Fraction(float(v.lo[i])), Fraction(float(v.hi[i]))) for v in (x, y)]
+            exact_lo, exact_hi = _exact_range(op, *ends)
+            below = lo == -math.inf or Fraction(lo) <= exact_lo
+            above = hi == math.inf or exact_hi <= Fraction(hi)
+            self.checks += 1
+            self.violations += int(not (below and above))
 
 
 def interval_containment_fuzz(seed: int, lanes: int) -> "tuple[int, int]":
@@ -172,6 +232,27 @@ def interval_containment_fuzz(seed: int, lanes: int) -> "tuple[int, int]":
     outside.hi[nan_lane & (side < 0)] = np.nan
     tally.checks += lanes
     tally.violations += int(np.count_nonzero(~segment_area_below(outside).poisoned()))
+
+    # Lanes near overflow (|x| from 1e154 to 1e308, where squares and
+    # products leave the doubles) and lanes of subnormals.  A lane may
+    # poison only where its true range reaches past half the largest double
+    # and does not contain zero: a range that contains zero has no end
+    # beyond the doubles on the wrong side.
+    half_max = np.finfo(np.float64).max / 2
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for lo_exp, hi_exp in ((154.0, 308.0), (-323.5, -307.6)):
+            bx, pbx, sx = _magnitude_lanes(rng, lanes, lo_exp, hi_exp)
+            by, pby, sy = _magnitude_lanes(rng, lanes, lo_exp, hi_exp)
+            mx, my = _magnitude(bx), _magnitude(by)
+            sum_clean = (mx + my < half_max) | (sx & sy)
+            tally.check(bx + by, pbx + pby, domain_clean=sum_clean)
+            tally.check(bx - by, pbx - pby, domain_clean=sum_clean)
+            tally.check(bx * by, pbx * pby, domain_clean=(mx * my < half_max) | sx | sy)
+            tally.check(bx.square(), pbx * pbx, domain_clean=(mx * mx < half_max) | sx)
+            tally.check(bx * 1e-300, pbx * 1e-300, domain_clean=np.ones(lanes, bool))
+            sample = rng.choice(lanes, size=min(lanes, 64), replace=False)
+            for op, r in (("add", bx + by), ("sub", bx - by), ("mul", bx * by), ("square", bx.square())):
+                tally.check_exact(op, r, bx, by, sample)
 
     # Composite expression mixing every op with always-positive denominator.
     w = x.square() + y.square() + 1.0

@@ -130,6 +130,41 @@ def mp_ell1(s1: "str | float", dps: int = 60) -> mp.mpf:
         return mp.sqrt(1 - a * a) - v / 2
 
 
+# Reference interval kernels, written the direct way: the outward inflation
+# with a temporary per operation, and the square's ends picked by nested
+# np.where on the lane's sign.  diskpack.iarrays computes them another way
+# and must give the same doubles: the inflation on every non-NaN endpoint,
+# the square on every finite lane but a straddle whose lower end squares
+# past the largest double (tests/test_iarrays.py).  The constants are the
+# library's, written out.
+_OUT_REL = 4.440892098500626e-16  # 2 * 2**-52
+_OUT_ABS = 2.2250738585072014e-308  # smallest normal
+
+
+def inflate_down_reference(a: np.ndarray) -> np.ndarray:
+    return a - (np.abs(a) * _OUT_REL + _OUT_ABS)
+
+
+def inflate_up_reference(a: np.ndarray) -> np.ndarray:
+    return a + (np.abs(a) * _OUT_REL + _OUT_ABS)
+
+
+def square_nested_where_reference(
+    lo: np.ndarray, hi: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Outward-rounded interval square by the sign of the lane: [lo^2, hi^2]
+    on lo >= 0, [hi^2, lo^2] on hi <= 0, [0, max(lo^2, hi^2)] on a straddle,
+    where 0.0 * lo^2 is +0.0 on finite lanes and NaN on NaN ones."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        lo2 = lo * lo
+        hi2 = hi * hi
+        pos = lo >= 0.0
+        neg = hi <= 0.0
+        rlo = np.where(pos, lo2, np.where(neg, hi2, 0.0 * lo2))
+        rhi = np.where(pos, hi2, np.where(neg, lo2, np.maximum(lo2, hi2)))
+        return np.maximum(inflate_down_reference(rlo), 0.0), inflate_up_reference(rhi)
+
+
 def brute_force_validation(
     placements, tol: float
 ) -> "tuple[list[int], list[tuple[int, int]], float]":

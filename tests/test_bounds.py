@@ -7,9 +7,10 @@ import pytest
 
 from diskpack.bounds import B1, B2, B3, B4, B5, B6, E, F_MSC1, F_MSC2, F_SC, F_TP
 from diskpack.errors import ContractError
-from diskpack.geometry import ell1, sigma
+from diskpack.geometry import T_inv, chord_width, ell1, sigma
 from diskpack.iarrays import IntervalArray
 from diskpack.prover import lemma_catalog
+from diskpack.scalars import smax
 
 from fuzzers import hypothesis_samples
 
@@ -73,6 +74,95 @@ class TestB3B4:
             assert B4(a, h, w, hn) == pytest.approx(
                 max(B2(h, w, hn), B3(a, h, w, hn)), abs=1e-15
             )
+
+
+def _b4_layers() -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """(a, h, w, h_next) of every B4 layer of sampled LEMMA_SC3 states, laid
+    out as F_SC lays them out."""
+    s = hypothesis_samples(_system("LEMMA_SC3"), 40, seed=21)
+    heights = [s["h1"], s["h2"], s["h3"], s["sn"]]
+    a = T_inv(s["s1"])
+    layers = []
+    for i in range(3):
+        h, h_next = heights[i], heights[i + 1]
+        layers.append((a, h, chord_width(a, h), h_next))
+        a = a - h
+    return tuple(np.concatenate(col) for col in zip(*layers))
+
+
+def _straddling_lanes(a, h, w, hn) -> "tuple[IntervalArray, ...]":
+    """Boxes around (a, h, w, hn) whose w lanes straddle B2's branch points:
+    the first third spans h + hn, the second 2h, the rest neither."""
+    third = len(w) // 3
+    cut = np.concatenate([(h + hn)[:third], (2 * h)[third : 2 * third], w[2 * third :]])
+    pad = 1e-3
+    w_lo = np.minimum(w, cut) - pad
+    w_hi = np.maximum(w, cut) + pad
+    return (
+        IntervalArray(a - 1e-4, a + 1e-4),
+        IntervalArray(h - 1e-4, h + 1e-4),
+        IntervalArray(w_lo, w_hi),
+        IntervalArray(hn - 1e-4, hn),
+    )
+
+
+def _same_bits(x, y) -> bool:
+    if isinstance(x, IntervalArray):
+        return _same_bits(x.lo, y.lo) and _same_bits(x.hi, y.hi)
+    return np.asarray(x, np.float64).tobytes() == np.asarray(y, np.float64).tobytes()
+
+
+class TestB4SharedSquares:
+    """B4 squares h and h_next once and shares them with the B2 and B3
+    bodies: it must equal smax(B2, B3) bit for bit on every kind."""
+
+    def _check(self, a, h, w, hn) -> None:
+        expect = smax(B2(h, w, hn), B3(a, h, w, hn))
+        assert _same_bits(B4(a, h, w, hn), expect)
+
+    def test_floats(self):
+        a, h, w, hn = _b4_layers()
+        for i in range(len(a)):
+            self._check(float(a[i]), float(h[i]), float(w[i]), float(hn[i]))
+
+    def test_ndarrays(self):
+        self._check(*_b4_layers())
+
+    def test_many_lane_points_and_boxes(self):
+        a, h, w, hn = _b4_layers()
+        self._check(*[IntervalArray.from_point(v) for v in (a, h, w, hn)])
+        self._check(*_straddling_lanes(a, h, w, hn))
+
+    def test_one_lane_boxes(self):
+        lanes = _straddling_lanes(*_b4_layers())
+        for i in range(0, lanes[0].shape[0], 7):
+            self._check(*[IntervalArray(v.lo[i : i + 1], v.hi[i : i + 1]) for v in lanes])
+
+    def test_branches_straddle(self):
+        # the boxes really reach every B2 branch, undecided
+        a, h, w, hn = _straddling_lanes(*_b4_layers())
+        third = w.shape[0] // 3
+        assert np.all(w.lo[:third] < (h + hn).hi[:third])
+        assert np.all(w.hi[:third] >= (h + hn).lo[:third])
+        assert np.all(w.lo[third : 2 * third] < (2 * h).hi[third : 2 * third])
+        assert np.all(w.hi[third : 2 * third] >= (2 * h).lo[third : 2 * third])
+
+    def test_b2_adds_no_square_to_b3(self, monkeypatch):
+        a, h, w, hn = _straddling_lanes(*_b4_layers())
+        calls = []
+        original = IntervalArray.square
+
+        def counting(self):
+            calls.append(self.shape)
+            return original(self)
+
+        monkeypatch.setattr(IntervalArray, "square", counting)
+        B3(a, h, w, hn)
+        b3_squares = len(calls)
+        calls.clear()
+        B4(a, h, w, hn)
+        # every B2 branch runs on these boxes, on the squares B3 takes anyway
+        assert len(calls) == b3_squares
 
 
 class TestB5B6:

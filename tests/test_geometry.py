@@ -271,6 +271,36 @@ class TestPocketGeometry:
         assert tall.bx == pytest.approx(sigma(1.2), abs=1e-15)
         assert tall.bottom_y == pytest.approx(-sigma(1.2) / 2.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "s1",
+        [
+            0.295,
+            0.5,
+            0.9,
+            math.nextafter(S1_STAR, 0.0),
+            S1_STAR,
+            math.nextafter(S1_STAR, 2.0),
+            1.2,
+            SQRT2,
+        ],
+    )
+    def test_fields_equal_the_kind_generic_formulas(self, s1: float) -> None:
+        # pocket_geometry shares one T_inv(s1) among its fields; each must
+        # equal the formula evaluated on its own, bit for bit.
+        geo = pocket_geometry(s1)
+        assert geo.t_inv == T_inv(s1)
+        assert geo.sigma == sigma(s1)
+        assert geo.ell1 == ell1(s1)
+        if s1 <= S1_STAR:
+            assert geo.bottom_y == T_inv(s1)
+        else:
+            assert geo.by == T_inv(s1) + s1 + sigma(s1) / 2
+
+    @pytest.mark.parametrize("s1", [0.0, -0.5, 1.5, 2.0, math.nan])
+    def test_side_outside_the_domain_is_refused(self, s1: float) -> None:
+        with pytest.raises(DomainError):
+            pocket_geometry(s1)
+
     @given(st.floats(min_value=0.295, max_value=SQRT2))
     def test_pocket_square_in_disk(self, s1: float) -> None:
         # a sigma-sized square at the pocket anchor stays inside the disk

@@ -14,15 +14,18 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from diskpack.iarrays import IntervalArray
+from diskpack.iarrays import IntervalArray, _down, _up
 
 from fuzzers import interval_containment_fuzz
+from oracles import inflate_down_reference, inflate_up_reference, square_nested_where_reference
 
 finite = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False)
 positive = st.floats(min_value=1e-8, max_value=1e8)
+# Every finite double: signed zeros, subnormals and values near overflow.
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
 
 TINY = 2.2250738585072014e-308  # smallest normal
 ONE_ULP = (1.0, math.nextafter(1.0, 2.0))
@@ -153,6 +156,10 @@ class TestPoisoning:
         assert not x.cert_gt(-np.inf).any()
 
 
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
 class TestSquare:
     def test_straddle_zero_floors_at_zero(self):
         x = IntervalArray(np.array([-2.0]), np.array([1.0]))
@@ -163,6 +170,152 @@ class TestSquare:
         x = IntervalArray(np.array([-3.0]), np.array([-2.0]))
         s = x.square()
         assert s.lo[0] <= 4.0 and s.hi[0] >= 9.0
+
+    @given(st.lists(st.tuples(any_finite, any_finite), min_size=1, max_size=12))
+    @example([(0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)])
+    @example([(-5e-324, 5e-324), (5e-324, TINY), (-TINY, -5e-324), (-5e-324, 0.0)])
+    @example([(-2.0, 1.0), (-1.0, 3.0), (-3.0, -2.0), (2.0, 3.0)])
+    @example([(-1.0, 1e200), (1e200, 1e300), (-1e300, -1e200), (-1e154, 1e154)])
+    @example([(-1.7976931348623157e308, -1.0), (1.0, 1.7976931348623157e308)])
+    def test_bit_identical_to_nested_where_on_finite_lanes(self, raw) -> None:
+        lo = np.array([min(a, b) for a, b in raw])
+        hi = np.array([max(a, b) for a, b in raw])
+        # The one documented difference on finite lanes: a straddle whose
+        # lower end squares past the largest double (TestSquareDifferences).
+        with np.errstate(over="ignore"):
+            assume(not np.any((lo < 0.0) & (hi > 0.0) & np.isinf(lo * lo)))
+        ref_lo, ref_hi = square_nested_where_reference(lo, hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = IntervalArray(lo, hi).square()
+        assert bits(r.lo) == bits(ref_lo)
+        assert bits(r.hi) == bits(ref_hi)
+
+    def test_nan_lanes_stay_poisoned_at_both_ends(self) -> None:
+        lo = np.array([np.nan, -np.nan])
+        hi = np.array([np.nan, np.nan])
+        ref_lo, ref_hi = square_nested_where_reference(lo, hi)
+        r = IntervalArray(lo, hi).square()
+        assert np.isnan(ref_lo).all() and np.isnan(ref_hi).all()
+        assert np.isnan(r.lo).all() and np.isnan(r.hi).all()
+
+
+class TestSquareDifferences:
+    """The two lane shapes on which the magnitude-based square differs from
+    the nested-np.where reference; both are sound."""
+
+    def test_half_nan_lane_is_poisoned_at_both_ends(self) -> None:
+        lo = np.array([np.nan, -2.0, 2.0, np.nan])
+        hi = np.array([2.0, np.nan, np.nan, -2.0])
+        ref_lo, ref_hi = square_nested_where_reference(lo, hi)
+        # The reference kept a finite end on three of the four lanes.
+        finite_ref = np.isfinite(ref_lo) | np.isfinite(ref_hi)
+        assert finite_ref.tolist() == [False, True, True, True]
+        r = IntervalArray(lo, hi).square()
+        assert np.isnan(r.lo).all() and np.isnan(r.hi).all()
+
+    def test_straddle_with_overflowing_square_is_zero_to_inf(self) -> None:
+        lo = np.array([-1e200, -1e200, -1.7976931348623157e308])
+        hi = np.array([1.0, 1e200, 5e-324])
+        ref_lo, ref_hi = square_nested_where_reference(lo, hi)
+        assert np.isnan(ref_lo).all() and np.isinf(ref_hi).all()
+        with np.errstate(over="ignore"):
+            r = IntervalArray(lo, hi).square()
+        assert bits(r.lo) == bits(np.zeros(3))
+        assert np.all(r.hi == np.inf)
+
+
+class TestOneBufferInflation:
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=12))
+    @example([0.0, -0.0, 5e-324, -5e-324, TINY, -TINY])
+    @example([np.inf, -np.inf, 1.7976931348623157e308, -1.7976931348623157e308])
+    def test_bit_identical_to_three_temporaries(self, values) -> None:
+        a = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bits(_down(a)) == bits(inflate_down_reference(a))
+            assert bits(_up(a)) == bits(inflate_up_reference(a))
+
+    def test_nan_stays_nan(self) -> None:
+        a = np.array([np.nan, -np.nan])
+        assert np.isnan(_down(a)).all() and np.isnan(_up(a)).all()
+
+    def test_zero_dimensional_endpoints(self) -> None:
+        x = IntervalArray(np.array(1.0), np.array(2.0))
+        r = (x + 1.0).square()
+        assert r.shape == ()
+        assert r.lo <= 4.0 and r.hi >= 9.0
+
+
+BIG = 1.7976931348623157e308  # largest double
+
+
+class TestInfiniteEndpoints:
+    """A computed lower end of +inf or upper end of -inf lies past every
+    double, so no bound it could give is sound: that end must come back
+    NaN, which poisons the lane, never as a bound that excludes the true
+    value.  The other end, where it is not NaN, is the infinity on the
+    true value's side."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: lane((1e308, 1.5e308)) + lane((1e308, 1e308)),
+            lambda: lane((1e308, 1.5e308)) + 1e308,
+            lambda: lane((1e308, 1e308)) - lane((-1e308, -1e308)),
+            lambda: lane((1e200, 1e201)) * lane((1e200, 1e200)),
+            lambda: lane((1e200, 1e201)) * 1e200,
+            lambda: lane((1e200, 1e201)) / 1e-200,
+            lambda: lane((1e200, 1e201)).square(),
+            lambda: lane((-1e201, -1e200)).square(),
+            lambda: lane((np.inf, np.inf)) + 0.0,
+            lambda: lane((np.inf, np.inf)) * 2.0,
+            lambda: lane((np.inf, np.inf)).square(),
+            lambda: lane((np.inf, np.inf)).sqrt(),
+        ],
+    )
+    def test_lower_end_past_the_largest_double(self, make) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = make()
+        assert np.isnan(r.lo[0])
+        assert np.isnan(r.hi[0]) or r.hi[0] == np.inf
+        assert not r.cert_gt(-np.inf).any() and not r.cert_le(BIG).any()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: lane((-1.5e308, -1e308)) - lane((1e308, 1e308)),
+            lambda: lane((-1.5e308, -1e308)) - 1e308,
+            lambda: -1e308 - lane((1e308, 1.5e308)),
+            lambda: lane((-1e201, -1e200)) * lane((1e200, 1e200)),
+            lambda: lane((1e200, 1e201)) * -1e200,
+            lambda: lane((-np.inf, -np.inf)) - 0.0,
+            lambda: lane((-np.inf, -np.inf)) * lane((1.0, 2.0)),
+        ],
+    )
+    def test_upper_end_past_the_lowest_double(self, make) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = make()
+        assert np.isnan(r.hi[0])
+        assert np.isnan(r.lo[0]) or r.lo[0] == -np.inf
+        assert not r.cert_lt(np.inf).any() and not r.cert_ge(-BIG).any()
+
+    def test_inflation_of_infinities(self) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            down = _down(np.array([np.inf, -np.inf, BIG, -BIG]))
+            up = _up(np.array([np.inf, -np.inf, BIG, -BIG]))
+        assert np.isnan(down[0]) and down[1] == -np.inf
+        assert np.isnan(up[1]) and up[0] == np.inf
+        # the largest doubles inflate outward, to -inf below and +inf above
+        assert down[2] < BIG and down[3] == -np.inf
+        assert up[2] == np.inf and up[3] > -BIG
+
+    def test_infinite_end_on_the_open_side_stays(self) -> None:
+        # [-inf, 1] and [1, inf] are sound as they are: the true value is
+        # inside, so these lanes are not poisoned.
+        with np.errstate(invalid="ignore"):
+            r = lane((-np.inf, 1.0)) + 1.0
+            q = lane((1.0, np.inf)) * 2.0
+        assert r.lo[0] == -np.inf and r.hi[0] >= 2.0
+        assert q.lo[0] <= 2.0 and q.hi[0] == np.inf
 
 
 class TestCertMasks:
