@@ -57,7 +57,7 @@ def _magnitude_lanes(
     point = (rng.random(lanes) < 0.25) & ~straddle
     lo = np.where(point, p, lo)
     hi = np.where(point, p, hi)
-    return IntervalArray(lo, hi), p, straddle & ~point
+    return IntervalArray(lo, hi), p, straddle
 
 
 def _magnitude(x: IntervalArray) -> np.ndarray:
@@ -245,13 +245,14 @@ def interval_containment_fuzz(seed: int, lanes: int) -> "tuple[int, int]":
             by, pby, sy = _magnitude_lanes(rng, lanes, lo_exp, hi_exp)
             mx, my = _magnitude(bx), _magnitude(by)
             sum_clean = (mx + my < half_max) | (sx & sy)
-            tally.check(bx + by, pbx + pby, domain_clean=sum_clean)
-            tally.check(bx - by, pbx - pby, domain_clean=sum_clean)
-            tally.check(bx * by, pbx * pby, domain_clean=(mx * my < half_max) | sx | sy)
-            tally.check(bx.square(), pbx * pbx, domain_clean=(mx * mx < half_max) | sx)
+            ops = {"add": bx + by, "sub": bx - by, "mul": bx * by, "square": bx.square()}
+            tally.check(ops["add"], pbx + pby, domain_clean=sum_clean)
+            tally.check(ops["sub"], pbx - pby, domain_clean=sum_clean)
+            tally.check(ops["mul"], pbx * pby, domain_clean=(mx * my < half_max) | sx | sy)
+            tally.check(ops["square"], pbx * pbx, domain_clean=(mx * mx < half_max) | sx)
             tally.check(bx * 1e-300, pbx * 1e-300, domain_clean=np.ones(lanes, bool))
             sample = rng.choice(lanes, size=min(lanes, 64), replace=False)
-            for op, r in (("add", bx + by), ("sub", bx - by), ("mul", bx * by), ("square", bx.square())):
+            for op, r in ops.items():
                 tally.check_exact(op, r, bx, by, sample)
 
     # Composite expression mixing every op with always-positive denominator.
