@@ -39,6 +39,7 @@ from dataclasses import replace
 from typing import Optional, Sequence, TextIO
 
 from .errors import DiskpackError, InputError, ParseError
+from .geometry import CONSTANTS
 from .packer import (
     DEFAULT_TOL,
     Instance,
@@ -58,7 +59,6 @@ EXIT_INVALID_PACKING = 3
 EXIT_NOT_PROVED = 4
 
 _SCHEMA_LINE = "diskpack-packing 1"
-_CRITICAL_AREA = 1.6
 
 
 def _fmt(v: float) -> str:
@@ -259,7 +259,7 @@ def cmd_pack(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         )
         print(
             f"total area {_fmt(inst.total_area)} vs guarantee threshold"
-            f" {_fmt(_CRITICAL_AREA)}",
+            f" {_fmt(CONSTANTS.critical_area)}",
             file=err,
         )
         return EXIT_PACK_FAILED
@@ -306,8 +306,8 @@ def cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     return EXIT_OK
 
 
-def _prove_config(system_default: Optional[ProverConfig], args: argparse.Namespace) -> ProverConfig:
-    cfg = system_default or ProverConfig()
+def _prove_config(args: argparse.Namespace) -> ProverConfig:
+    cfg = ProverConfig()
     if args.depth is not None:
         cfg = replace(cfg, max_depth=args.depth)
     if args.min_width is not None:
@@ -341,7 +341,7 @@ def cmd_prove(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             return EXIT_INPUT
     rows = []
     for system in systems:
-        result = prove(system, _prove_config(system.default_config, args))
+        result = prove(system, _prove_config(args))
         rows.append(_result_row(result))
         line = (
             f"{result.name}: {result.status.value}"
@@ -386,7 +386,7 @@ def cmd_gen(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             raise InputError("--epsilon only applies to --kind worst")
         seed = 0 if args.seed is None else args.seed
         n = 100 if args.n is None else args.n
-        area = _CRITICAL_AREA if args.area is None else args.area
+        area = CONSTANTS.critical_area if args.area is None else args.area
         dist = "uniform" if args.dist is None else args.dist
         inst = gen_random(seed, n, area, dist)
         comment = f"random instance, seed={seed} n={n} area={area!r} dist={dist}"

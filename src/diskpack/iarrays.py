@@ -10,9 +10,11 @@ width growth the prover subdivides away anyway.
 
 Errors never raise.  A lane whose computation leaves the mathematical domain
 (square root over a negative range, arccos beyond [-1, 1], division through
-zero) gets NaN endpoints.  NaN compares false, so a poisoned lane is never
-certainly-true and never certainly-false: callers see it as undecided and keep
-splitting, which is always sound.
+zero) gets NaN endpoints.  NaN compares false, so a lane NaN at both ends is
+never certainly-true and never certainly-false: callers see it as undecided
+and keep splitting, which is always sound.  A lane NaN at one end only (an
+overflowing sum can give [NaN, inf]) still certifies through its other end;
+that is sound too, since each end bounds the true range on its own.
 """
 
 from __future__ import annotations
@@ -232,8 +234,9 @@ class IntervalArray:
         return IntervalArray(np.maximum(self.lo, olo), np.maximum(self.hi, ohi))
 
     # -- certainty masks ----------------------------------------------------
-    # NaN endpoints make every comparison false, so poisoned lanes report
-    # neither certainly-true nor certainly-false.
+    # Each mask reads one end, and a NaN end makes its comparison false: a
+    # lane NaN at both ends certifies nothing, and a lane NaN at one end
+    # only certifies through the other.
 
     def cert_le(self, bound: float) -> np.ndarray:
         return self.hi <= bound

@@ -11,9 +11,14 @@ for every eps > 0).  The packer dispatches on the largest side s1:
   the four largest go to the quadrants of the inscribed square; the rest are
   shelf packed into a small container sitting on top of it.
 * otherwise: s1 is packed topmost.  Later squares go into the two pockets
-  beside s1 (refined shelf packing) when they fit, and otherwise into a
-  stack of horizontal subcontainers below s1, each filled by vertical
-  strips (refined shelf packing again).
+  beside s1 when they fit, and otherwise into a stack of horizontal
+  subcontainers below s1, each as tall as its first square.  One strip
+  kind, _Strips, fills every subcontainer and every pocket whose
+  horizontal straight boundary is the longer one: vertical strips advance
+  outward from a base, and squares stack away from the band edge nearer
+  the disk center.  Such a pocket is the band [pocket floor, inf], so it
+  stacks upward from its floor.  The other pockets stack horizontal
+  shelves upward from their floor (_Shelves).
 
 Refined shelf packing places each square flush against its support cut and,
 if the circle refuses the flush spot, slides it by the minimal amount toward
@@ -68,6 +73,8 @@ _C1_POCKETS = np.array(
     )
 ).T
 _C1_ORIGIN = np.array(((-_C1_CONTAINER / 2,), (-_C1_CONTAINER / 2,)))
+# C2 needs s1 <= _C2_MAX_S1 and the four largest squares' area >= _C2_TOP4_AREA
+_C2_MAX_S1 = 1 / SQRT2
 _C2_TOP4_AREA = 39.0 / 25.0
 _C2_CELL = SQRT2 / 2
 _C2_BOX = SQRT2 / 5
@@ -258,147 +265,114 @@ def _shelf_columns(
     return xs, ys, None
 
 
-@dataclass
-class _Shelf:
-    y0: float
-    height: float
-    frontier: float  # outer x edge of the packed run
+class _Shelves:
+    """Refined shelf packing by horizontal shelves stacked up from floor.
 
+    Each shelf is as tall as its first square; its run advances from x =
+    base in the given direction (+1 rightward, -1 leftward), and squares
+    wider than cap are refused.  Only the open shelf is kept."""
 
-@dataclass
-class _Strip:
-    base: float   # inner x edge
-    width: float
-    cursor: float  # filling frontier ordinate
-
-
-class _Pocket:
-    """Refined shelf packing state for one pocket beside the top square.
-
-    Shelves run parallel to the shorter straight boundary: horizontally
-    (stacked upward from the pocket floor) when bx <= by, and as vertical
-    strips (advancing outward) otherwise.  The circle itself bounds the
-    pocket on the outside, so only the floor and the inner support are
-    explicit."""
-
-    def __init__(self, geo: PocketGeometry, direction: int, tol: float) -> None:
-        self.geo = geo
-        self.direction = direction  # +1 packs rightward (C_r), -1 leftward
+    def __init__(self, base: float, direction: int, floor: float, cap: float, tol: float) -> None:
+        self.base = base
+        self.direction = direction
+        self.cap = cap
         self.tol = tol
-        self.horizontal = geo.bx <= geo.by
-        self.inner_x = direction * geo.s1 / 2
-        self.shelves: "list[_Shelf]" = []
-        self.strips: "list[_Strip]" = []
+        self.y0 = floor  # bottom of the open shelf
+        self.ceiling = floor  # its top, where the next shelf opens
+        self.reach = -math.inf  # largest side the open shelf takes; none is open yet
+        self.frontier = base  # outer x edge of its run
 
-    def _x_extent(self, inner: float, side: float) -> "tuple[float, float]":
+    def try_place(self, side: float) -> Optional[Corner]:
+        tol = self.tol
+        if side > self.cap + tol:
+            return None
+        if side <= self.reach:
+            # extend the open shelf's run
+            if self.direction > 0:
+                x_lo, x_hi = self.frontier, self.frontier + side
+            else:
+                x_lo, x_hi = self.frontier - side, self.frontier
+            y = refined_shelf_place(side, x_lo, x_hi, self.y0, self.ceiling - side, self.y0, tol)
+            if y is not None:
+                self.frontier += self.direction * side
+                return x_lo, y
+        floor = self.ceiling
         if self.direction > 0:
-            return inner, inner + side
-        return inner - side, inner
-
-    def try_place(self, side: float) -> Optional[Corner]:
-        if side > self.geo.sigma + self.tol:
-            return None
-        if self.horizontal:
-            return self._try_shelves(side)
-        return self._try_strips(side)
-
-    def _try_shelves(self, side: float) -> Optional[Corner]:
-        if self.shelves:
-            sh = self.shelves[-1]
-            if side <= sh.height + self.tol:
-                x_lo, x_hi = self._x_extent(sh.frontier, side)
-                y = refined_shelf_place(
-                    side, x_lo, x_hi, sh.y0, sh.y0 + sh.height - side, sh.y0, self.tol
-                )
-                if y is not None:
-                    sh.frontier += self.direction * side
-                    return x_lo, y
-        floor = (
-            self.shelves[-1].y0 + self.shelves[-1].height
-            if self.shelves
-            else self.geo.bottom_y
-        )
-        x_lo, x_hi = self._x_extent(self.inner_x, side)
-        y = refined_shelf_place(side, x_lo, x_hi, floor, floor, floor, self.tol)
+            x_lo, x_hi = self.base, self.base + side
+        else:
+            x_lo, x_hi = self.base - side, self.base
+        y = refined_shelf_place(side, x_lo, x_hi, floor, floor, floor, tol)
         if y is None:
             return None
-        self.shelves.append(_Shelf(y0=floor, height=side, frontier=self.inner_x + self.direction * side))
-        return x_lo, y
-
-    def _try_strips(self, side: float) -> Optional[Corner]:
-        if self.strips:
-            st = self.strips[-1]
-            if side <= st.width + self.tol:
-                x_lo, x_hi = self._x_extent(st.base, side)
-                y = refined_shelf_place(
-                    side, x_lo, x_hi, st.cursor, math.inf, st.cursor, self.tol
-                )
-                if y is not None:
-                    st.cursor = y + side
-                    return x_lo, y
-        base = (
-            self.strips[-1].base + self.direction * self.strips[-1].width
-            if self.strips
-            else self.inner_x
-        )
-        x_lo, x_hi = self._x_extent(base, side)
-        floor = self.geo.bottom_y
-        y = refined_shelf_place(side, x_lo, x_hi, floor, math.inf, floor, self.tol)
-        if y is None:
-            return None
-        self.strips.append(_Strip(base=base, width=side, cursor=y + side))
+        self.y0, self.ceiling, self.reach = floor, floor + side, side + tol
+        self.frontier = self.base + self.direction * side
         return x_lo, y
 
 
-class _Subcontainer:
-    """One horizontal slice of the bottom part, filled by vertical strips.
+class _Strips:
+    """Refined shelf packing by vertical strips in the band [bottom, top].
 
-    The strip support is the horizontal cut closer to the disk center (the
-    top cut on ties); squares stack away from it and may slide toward the
-    diameter when the circle refuses the flush spot."""
+    Strips advance from x = base in the given direction (+1 rightward, -1
+    leftward), each as wide as its first square; squares wider than cap are
+    refused.  In a strip, squares stack away from the support cut, the band
+    edge closer to the disk center (top on ties), and slide toward the
+    diameter when the circle refuses the flush spot.  Only the open strip is
+    kept.  A subcontainer is a band as tall as its first square; a pocket in
+    strip mode is the band [pocket floor, inf], supported at its floor."""
 
-    def __init__(self, top: float, height: float, tol: float) -> None:
+    def __init__(
+        self, base: float, direction: int, bottom: float, top: float, cap: float, tol: float
+    ) -> None:
+        self.direction = direction
+        self.bottom = bottom
         self.top = top
-        self.height = height
-        self.bottom = top - height
+        self.cap = cap
         self.tol = tol
-        self.support_top = abs(top) <= abs(self.bottom)
-        self.strips: "list[_Strip]" = []
-
-    def _attempt(self, st: _Strip, side: float, is_new: bool) -> Optional[float]:
-        x_lo, x_hi = st.base, st.base + side
-        if self.support_top:
-            flush = (self.top if is_new else st.cursor) - side
-            return refined_shelf_place(
-                side, x_lo, x_hi, self.bottom, flush, flush, self.tol
-            )
-        flush = self.bottom if is_new else st.cursor
-        return refined_shelf_place(
-            side, x_lo, x_hi, flush, self.top - side, flush, self.tol
-        )
+        self.support_top = abs(top) <= abs(bottom)
+        self.base = base  # inner x edge of the open strip
+        self.edge = base  # its outer x edge, where the next strip opens
+        self.reach = -math.inf  # largest side the open strip takes; none is open yet
+        # flush ordinate of the open strip's next square: the bottom of its
+        # stack under a top support, the top of its stack over a bottom one
+        self.cursor = 0.0
 
     def try_place(self, side: float) -> Optional[Corner]:
-        if side > self.height + self.tol:
+        tol = self.tol
+        if side > self.cap + tol:
             return None
-        if self.strips:
-            st = self.strips[-1]
-            if side <= st.width + self.tol:
-                y = self._attempt(st, side, is_new=False)
-                if y is not None:
-                    st.cursor = y if self.support_top else y + side
-                    return st.base, y
-        base = (
-            self.strips[-1].base + self.strips[-1].width
-            if self.strips
-            else -_chord(self.top, self.height) / 2
-        )
-        st = _Strip(base=base, width=side, cursor=0.0)
-        y = self._attempt(st, side, is_new=True)
-        if y is None:
-            return None
-        st.cursor = y if self.support_top else y + side
-        self.strips.append(st)
-        return base, y
+        # stack on the open strip when it is wide enough; otherwise, or when
+        # the circle refuses, open the next strip flush with the support cut
+        for opening in (False, True) if side <= self.reach else (True,):
+            base = self.edge if opening else self.base
+            if self.direction > 0:
+                x_lo, x_hi = base, base + side
+            else:
+                x_lo, x_hi = base - side, base
+            if self.support_top:
+                flush = (self.top if opening else self.cursor) - side
+                y = refined_shelf_place(side, x_lo, x_hi, self.bottom, flush, flush, tol)
+            else:
+                flush = self.bottom if opening else self.cursor
+                y = refined_shelf_place(side, x_lo, x_hi, flush, self.top - side, flush, tol)
+            if y is not None:
+                if opening:
+                    self.base, self.edge, self.reach = base, base + self.direction * side, side + tol
+                self.cursor = y if self.support_top else y + side
+                return x_lo, y
+        return None
+
+
+def _pocket(geo: PocketGeometry, direction: int, tol: float) -> "Union[_Shelves, _Strips]":
+    """The pocket beside the top square on the left (direction -1) or the
+    right (+1).  Its shelves run parallel to the shorter straight boundary:
+    horizontally, stacked up from the pocket floor, when bx <= by, and
+    otherwise as vertical strips advancing outward.  The circle bounds the
+    pocket on the outside, so only the floor and the inner side are
+    explicit."""
+    base = direction * geo.s1 / 2
+    if geo.bx <= geo.by:
+        return _Shelves(base, direction, geo.bottom_y, geo.sigma, tol)
+    return _Strips(base, direction, geo.bottom_y, math.inf, geo.sigma, tol)
 
 
 def _chord(y_t: float, h: float) -> float:
@@ -406,49 +380,6 @@ def _chord(y_t: float, h: float) -> float:
     bands that poke out by a tolerance still get a (zero) width."""
     rad = min(1.0 - y_t * y_t, 1.0 - (y_t - h) * (y_t - h))
     return 2.0 * math.sqrt(max(rad, 0.0))
-
-
-@dataclass
-class PackState:
-    """Working state of the topmost-square strategy."""
-
-    s1: float
-    tol: float
-    geo: PocketGeometry
-    pockets: "list[_Pocket]"
-    subcontainers: "list[_Subcontainer]"
-
-
-def top_pack_try(state: PackState, side: float) -> Optional[Corner]:
-    """Lower-left corner in the left, else the right pocket beside the top
-    square."""
-    for pocket in state.pockets:
-        sq = pocket.try_place(side)
-        if sq is not None:
-            return sq
-    return None
-
-
-def bottom_pack(state: PackState, side: float) -> Optional[Corner]:
-    """Lower-left corner in the last subcontainer, or in a new one sliced
-    below it."""
-    if state.subcontainers:
-        sq = state.subcontainers[-1].try_place(side)
-        if sq is not None:
-            return sq
-        top_new = state.subcontainers[-1].bottom
-    else:
-        top_new = state.geo.t_inv
-    if top_new - side < -1.0 - state.tol:
-        return None
-    if _chord(top_new, side) < side - state.tol:
-        return None
-    sub = _Subcontainer(top_new, side, state.tol)
-    sq = sub.try_place(side)
-    if sq is None:
-        return None
-    state.subcontainers.append(sub)
-    return sq
 
 
 def _instance(sides: Union[Instance, Sequence[float]]) -> Instance:
@@ -535,20 +466,24 @@ def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
     if s1 > SQRT2 + 1e-12:
         return _failed(inst, order[0])
     geo = pocket_geometry(s1)
-    state = PackState(
-        s1=s1,
-        tol=tol,
-        geo=geo,
-        pockets=[_Pocket(geo, -1, tol), _Pocket(geo, +1, tol)],
-        subcontainers=[],
-    )
+    left, right = _pocket(geo, -1, tol), _pocket(geo, +1, tol)
+    subcontainers: "list[_Strips]" = []  # stacked downward from the top square
     x, y = [0.0] * len(order), [0.0] * len(order)
     x[order[0]], y[order[0]] = -s1 / 2, geo.t_inv
     for i in order[1:]:
         s = inst.sides[i]
-        corner = top_pack_try(state, s)
+        corner = left.try_place(s) or right.try_place(s)
+        if corner is None and subcontainers:
+            corner = subcontainers[-1].try_place(s)
         if corner is None:
-            corner = bottom_pack(state, s)
+            # slice a subcontainer as tall as s below the last one
+            top = subcontainers[-1].bottom if subcontainers else geo.t_inv
+            width = _chord(top, s)
+            if top - s >= -1.0 - tol and width >= s - tol:
+                sub = _Strips(-width / 2, +1, top - s, top, s, tol)
+                corner = sub.try_place(s)
+                if corner is not None:
+                    subcontainers.append(sub)
         if corner is None:
             return _failed(inst, i)
         x[i], y[i] = corner
@@ -567,7 +502,7 @@ def pack(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> P
     top = heapq.nlargest(4, inst.sides)
     if top[0] <= _C1_POCKET:
         return pack_c1(inst, tol)
-    if top[0] <= 1 / SQRT2 and sum(s ** 2 for s in top) >= _C2_TOP4_AREA:
+    if top[0] <= _C2_MAX_S1 and sum(s ** 2 for s in top) >= _C2_TOP4_AREA:
         return pack_c2(inst, tol)
     return pack_c3(inst, tol)
 

@@ -23,29 +23,19 @@ from __future__ import annotations
 import math
 
 from .. import bounds
-from ..geometry import T_inv, chord_width, ell1, sigma, z_below
+from ..geometry import CONSTANTS, T_inv, chord_width, ell1, sigma, z_below
+from ..packer import _C2_MAX_S1, _C2_TOP4_AREA
 from ..scalars import square
-from .engine import (
-    ConstraintSystem,
-    OrRelation,
-    ProverConfig,
-    Relation,
-    Variable,
-)
+from .engine import ConstraintSystem, OrRelation, Relation, Variable
 
 # Box endpoints are nudged outward so every verified box strictly contains
 # the stated real range.
 _S1_LO = math.nextafter(0.295, 0.0)
 _S1_HI = math.nextafter(math.sqrt(8.0 / 5.0), 2.0)
 
-# float(1.6) lies above the real 8/5, so certifying a value > 1.6 certifies
-# that it exceeds 8/5.
-_CRITICAL = 1.6
-
-# The packer dispatches cases against these exact float constants, so the
-# hypotheses that mirror the dispatch reuse them verbatim.
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_TOP4_AREA = 39.0 / 25.0
+# float(8/5) = 1.6 lies above the real 8/5, so certifying a value > 1.6
+# certifies that it exceeds 8/5.
+_CRITICAL = CONSTANTS.critical_area
 
 # Heights satisfy h_1 >= ... >= h_k and sum(h_i) <= 1 + T_inv(s1)
 # <= 1 + T_inv(0.295) < 1.695, hence h_i <= 1.695/i; no side exceeds
@@ -89,7 +79,6 @@ def _tp_system(which: int) -> ConstraintSystem:
         ),
         conclusion=Relation(f"F_TP{which} <= 1", concl_fn, "<=", 1.0),
         prepare=prep,
-        default_config=ProverConfig(max_depth=60, min_width=1e-6),
     )
 
 
@@ -122,18 +111,19 @@ def _sc_system(k: int, sn_above_pocket: bool) -> ConstraintSystem:
     if k == 1:
         # With one subcontainer the accounting alone cannot beat 8/5
         # everywhere; the dispatch guarantees one of three extra facts
-        # whenever the layered case ran instead of the four-quadrant case.
+        # whenever the layered case ran instead of the four-quadrant case,
+        # stated against the packer's own dispatch thresholds.
         hyps.append(
             OrRelation(
                 "layered dispatch",
                 (
-                    Relation("s1 > 1/sqrt(2)", lambda e: e["s1"], ">", _INV_SQRT2),
+                    Relation("s1 > 1/sqrt(2)", lambda e: e["s1"], ">", _C2_MAX_S1),
                     Relation("w1 < 2*h1", lambda e: e["w1"] - 2 * e["h1"], "<", 0.0),
                     Relation(
                         "s1^2 + h1^2 + 2*sn^2 < 39/25",
                         lambda e: square(e["s1"]) + square(e["h1"]) + 2 * square(e["sn"]),
                         "<",
-                        _TOP4_AREA,
+                        _C2_TOP4_AREA,
                     ),
                 ),
             )
@@ -151,7 +141,6 @@ def _sc_system(k: int, sn_above_pocket: bool) -> ConstraintSystem:
         hypotheses=tuple(hyps),
         conclusion=Relation("F_SC > 8/5", concl_fn, ">", _CRITICAL),
         prepare=prep,
-        default_config=ProverConfig(max_depth=200, min_width=1e-4 if k == 1 else 1e-3),
     )
 
 
@@ -185,7 +174,6 @@ def _msc_neg_system() -> ConstraintSystem:
             _CRITICAL,
         ),
         prepare=prep,
-        default_config=ProverConfig(max_depth=200, min_width=1e-3),
     )
 
 
@@ -229,7 +217,6 @@ def _msc_pos_system() -> ConstraintSystem:
             _CRITICAL,
         ),
         prepare=prep,
-        default_config=ProverConfig(max_depth=200, min_width=1e-3),
     )
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -47,7 +48,15 @@ class Variable:
             raise ContractError(f"variable {self.name}: bad range [{self.lo}, {self.hi}]")
 
 
-_OPS = ("<", "<=", ">", ">=")
+# op -> (the comparison on real points, and the IntervalArray methods that
+# give its certainly-true and certainly-false masks).  The masks are looked
+# up by name on each value, so a method patched on the class is the one used.
+_OPS = {
+    "<": (operator.lt, "cert_lt", "cert_ge"),
+    "<=": (operator.le, "cert_le", "cert_gt"),
+    ">": (operator.gt, "cert_gt", "cert_le"),
+    ">=": (operator.ge, "cert_ge", "cert_lt"),
+}
 
 
 @dataclass(frozen=True)
@@ -67,23 +76,11 @@ class Relation:
 
     def certs(self, env: dict) -> "tuple[np.ndarray, np.ndarray]":
         v = self.fn(env)
-        if self.op == "<=":
-            return v.cert_le(self.bound), v.cert_gt(self.bound)
-        if self.op == "<":
-            return v.cert_lt(self.bound), v.cert_ge(self.bound)
-        if self.op == ">":
-            return v.cert_gt(self.bound), v.cert_le(self.bound)
-        return v.cert_ge(self.bound), v.cert_lt(self.bound)
+        _, true, false = _OPS[self.op]
+        return getattr(v, true)(self.bound), getattr(v, false)(self.bound)
 
     def holds(self, env: dict):
-        v = self.fn(env)
-        if self.op == "<=":
-            return v <= self.bound
-        if self.op == "<":
-            return v < self.bound
-        if self.op == ">":
-            return v > self.bound
-        return v >= self.bound
+        return _OPS[self.op][0](self.fn(env), self.bound)
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,6 @@ class ConstraintSystem:
     hypotheses: "tuple[Hypothesis, ...]"
     conclusion: Relation
     prepare: Optional[Callable[[dict], dict]] = None
-    default_config: Optional[ProverConfig] = None
 
 
 def _env_from(system: ConstraintSystem, lo: np.ndarray, hi: np.ndarray) -> dict:
@@ -327,9 +323,8 @@ def _search(system: ConstraintSystem, config: ProverConfig) -> ProofResult:
 
 
 def prove(system: ConstraintSystem, config: Optional[ProverConfig] = None) -> ProofResult:
-    """Run the branch-and-prune search at `config`, else at the system's
-    default config, else at ProverConfig()."""
-    cfg = config or system.default_config or ProverConfig()
+    """Run the branch-and-prune search at `config`, else at ProverConfig()."""
+    cfg = config or ProverConfig()
     t0 = time.perf_counter()
     result = _search(system, cfg)
     result.stats.wall_time_s = time.perf_counter() - t0

@@ -45,11 +45,6 @@ class TestStructure:
         names = lemma_names()
         assert len(names) == len(set(names))
 
-    def test_every_system_has_default_config(self):
-        for system in lemma_catalog():
-            assert system.default_config is not None
-            assert system.default_config.max_depth >= 60
-
     def test_variable_boxes_cover_the_stated_ranges(self):
         # s1 spans [0.295, sqrt(8/5)] with outward nudges on both ends
         for system in lemma_catalog():

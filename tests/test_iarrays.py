@@ -155,6 +155,18 @@ class TestPoisoning:
         assert not x.cert_lt(np.inf).any()
         assert not x.cert_gt(-np.inf).any()
 
+    def test_lane_nan_at_one_end_certifies_through_the_other(self):
+        # the sum overflows: the lower end inflates to inf - inf = NaN, the
+        # upper end stays inf, which still bounds the real sum from above
+        with np.errstate(all="ignore"):
+            x = IntervalArray(np.array([1e308]), np.array([1.5e308])) + 1e308
+        assert np.isnan(x.lo[0]) and x.hi[0] == np.inf
+        assert x.poisoned().all()
+        assert x.cert_le(np.inf).all()
+        assert not x.cert_lt(np.inf).any()
+        assert not x.cert_ge(-np.inf).any()
+        assert not x.cert_gt(-np.inf).any()
+
 
 def bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()

@@ -14,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from diskpack.cli import format_document, format_svg
 from diskpack.errors import InputError
-from diskpack.geometry import CONSTANTS, PlacedSquare, T_inv
+from diskpack.geometry import CONSTANTS, PlacedSquare, T_inv, pocket_geometry
 from diskpack.packer import (
+    DEFAULT_TOL,
     FailReason,
     Instance,
     Packing,
     Placements,
+    _pocket,
     gen_random,
     gen_worst_case,
     pack,
@@ -641,6 +643,27 @@ class TestRefinedShelfPlace:
 
     def test_empty_window_is_none(self):
         assert refined_shelf_place(0.4, -0.1, 0.1, 0.5, -0.5, flush=0.0) is None
+
+
+class TestPocketMirror:
+    # below s1 of about 0.63 the pockets fill by vertical strips, above it
+    # by horizontal shelves
+    @pytest.mark.parametrize("s1, shelves", [(0.5, False), (0.9, True)])
+    def test_left_pocket_is_the_right_one_reflected(self, s1, shelves):
+        geo = pocket_geometry(s1)
+        assert (geo.bx <= geo.by) == shelves
+        left, right = _pocket(geo, -1, DEFAULT_TOL), _pocket(geo, +1, DEFAULT_TOL)
+        rng = random.Random(7)
+        sides = sorted((1.05 * geo.sigma * rng.random() ** 3 for _ in range(300)), reverse=True)
+        placed = 0
+        for side in sides:
+            a, b = left.try_place(side), right.try_place(side)
+            assert (a is None) == (b is None)
+            if a is not None:
+                placed += 1
+                assert a[0] == -(b[0] + side)
+                assert a[1] == b[1]
+        assert 20 < placed < len(sides)
 
 
 class TestGenerators:
