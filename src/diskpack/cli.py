@@ -35,7 +35,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence, TextIO
 
 from .errors import DiskpackError, InputError, ParseError
@@ -306,15 +305,6 @@ def cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     return EXIT_OK
 
 
-def _prove_config(args: argparse.Namespace) -> ProverConfig:
-    cfg = ProverConfig()
-    if args.depth is not None:
-        cfg = replace(cfg, max_depth=args.depth)
-    if args.min_width is not None:
-        cfg = replace(cfg, min_width=args.min_width)
-    return cfg
-
-
 def _result_row(result: ProofResult) -> "dict[str, object]":
     row: "dict[str, object]" = {
         "name": result.name,
@@ -341,7 +331,7 @@ def cmd_prove(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             return EXIT_INPUT
     rows = []
     for system in systems:
-        result = prove(system, _prove_config(args))
+        result = prove(system, ProverConfig(args.depth, args.min_width))
         rows.append(_result_row(result))
         line = (
             f"{result.name}: {result.status.value}"
@@ -444,12 +434,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("prove", help="run lemma systems through the interval prover")
     p.add_argument("--lemma", required=True, help="lemma name, or 'all'")
     p.add_argument(
-        "--depth", type=_limit(int, lambda v: v >= 0, ">= 0"), default=None,
-        help="override max split depth",
+        "--depth", type=_limit(int, lambda v: v >= 0, ">= 0"),
+        default=ProverConfig.max_depth, help="max split depth",
     )
     p.add_argument(
         "--min-width", type=_limit(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-        default=None, help="override min box width",
+        default=ProverConfig.min_width, help="width below which no variable is split",
     )
     p.add_argument("--report", default=None, help="write a JSON report here")
     p.set_defaults(handler=cmd_prove)
@@ -473,10 +463,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    except (ParseError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DiskpackError as exc:  # domain/contract faults are input-shaped here
+    except DiskpackError as exc:  # parse, input, domain and contract faults
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -14,8 +14,8 @@ families.
   pocket, the accounting splits on where the third subcontainer ends:
   F_MSC1 covers a bottom at or below the center, F_MSC2 a bottom above it.
 
-Hypotheses that only order or sign raw variables are marked cheap so the
-engine prunes on them before evaluating anything derived.
+Hypotheses that only order raw variables are marked cheap so the engine
+prunes on them before evaluating anything derived.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ def _sc_system(k: int, sn_above_pocket: bool) -> ConstraintSystem:
     hyps.append(
         Relation("sum(h) <= 1 + T_inv(s1)", lambda e: e["hsum"] - e["ti"], "<=", 1.0)
     )
-    hyps.append(Relation("z > 0", lambda e: e["z"], ">", 0.0))
     hyps.append(Relation("z < sn", lambda e: e["z"] - e["sn"], "<", 0.0))
     if sn_above_pocket:
         hyps.append(Relation("sigma < sn", lambda e: e["sig"] - e["sn"], "<", 0.0))
@@ -153,7 +152,6 @@ def _msc_neg_system() -> ConstraintSystem:
         Variable("h4", 0.0, _height_cap(3)),  # h4 <= h3
     )
     hyps: "list[object]" = _chain("s1", "h1", "h2", "h3", "h4")
-    hyps.append(Relation("h4 > 0", lambda e: e["h4"], ">", 0.0, cheap=True))
 
     def prep(env: dict) -> dict:
         e = dict(env)

@@ -4,17 +4,21 @@ A ConstraintSystem states: for all variable values in the given ranges that
 satisfy every hypothesis, the conclusion holds.  prove() explores the range
 box with interval arithmetic: a sub-box is discarded when some hypothesis
 certainly fails on it or the conclusion certainly holds on it; otherwise it
-is bisected across its widest variable.  Boxes that reach the depth or width
-floor undecided are reported (the statement is then not established at this
-resolution).  When the conclusion certainly fails somewhere, real-valued
-midpoint evaluation hunts for a concrete counterexample.
+is bisected.  Every box at depth d is bisected across split[d], fixed once
+per proof from the variable box alone: the widest root width after the
+halvings above d, the first variable on ties.  The schedule ends at
+max_depth or once every width is at most min_width; boxes still undecided
+at its end are reported (the statement is then not established at this
+resolution).  When the conclusion certainly fails somewhere, midpoints are
+tried as counterexamples; only one confirmed in plain float arithmetic
+disproves the statement.
 
-Boxes are processed in chunks: a chunk is a set of boxes of (essentially)
-equal per-variable widths stored as two lane-major arrays, so every formula
-evaluates vectorized across lanes.  Hypotheses marked cheap touch only raw
-variables and run before the derived quantities are computed; surviving
-lanes are compacted first, which keeps the expensive formulas off refuted
-regions.
+Boxes are processed in chunks of same-depth boxes stored as two lane-major
+arrays, so every formula evaluates vectorized across lanes; the chunking
+changes the speed of a proof, not its tree.  Hypotheses marked cheap touch
+only raw variables and run before the derived quantities are computed;
+surviving lanes are compacted first, which keeps the expensive formulas off
+refuted regions.
 
 All expression callbacks receive an environment dict and must be written
 against the kind-generic scalar helpers, so the same callback serves the
@@ -182,8 +186,8 @@ def _compact_env(env: dict, keep: np.ndarray) -> dict:
 def _real_counterexample(
     system: ConstraintSystem, mids: np.ndarray
 ) -> Optional["dict[str, float]"]:
-    """Evaluate hypotheses and conclusion on real points; return the first
-    point satisfying every hypothesis and violating the conclusion."""
+    """The first point confirm_counterexample accepts among those a NumPy
+    prefilter (which lets NaN values through) finds violating."""
     with np.errstate(all="ignore"):
         env = {v.name: mids[:, j] for j, v in enumerate(system.variables)}
         env = _prepared(system, env)
@@ -191,16 +195,17 @@ def _real_counterexample(
         for rel in system.hypotheses:
             ok &= np.asarray(rel.holds(env), dtype=bool)
         bad = ok & ~np.asarray(system.conclusion.holds(env), dtype=bool)
-    hits = np.flatnonzero(bad)
-    if hits.size == 0:
-        return None
-    k = int(hits[0])
-    return {v.name: float(mids[k, j]) for j, v in enumerate(system.variables)}
+    for k in np.flatnonzero(bad):
+        point = {v.name: float(mids[k, j]) for j, v in enumerate(system.variables)}
+        if confirm_counterexample(system, point):
+            return point
+    return None
 
 
 def confirm_counterexample(system: ConstraintSystem, point: "dict[str, float]") -> bool:
     """True iff the real point satisfies every hypothesis and violates the
-    conclusion (domain errors count as not confirmed)."""
+    conclusion (domain errors and float division by zero or overflow count
+    as not confirmed)."""
     env = {v.name: float(point[v.name]) for v in system.variables}
     try:
         env = _prepared(system, env)
@@ -208,7 +213,7 @@ def confirm_counterexample(system: ConstraintSystem, point: "dict[str, float]") 
             if not rel.holds(env):
                 return False
         return not system.conclusion.holds(env)
-    except DiskpackError:
+    except (DiskpackError, ArithmeticError):
         return False
 
 
@@ -218,9 +223,20 @@ def _box_dict(system: ConstraintSystem, lo: np.ndarray, hi: np.ndarray) -> dict:
     }
 
 
-def _search(system: ConstraintSystem, config: ProverConfig) -> ProofResult:
-    lo0 = np.array([[v.lo for v in system.variables]])
-    hi0 = np.array([[v.hi for v in system.variables]])
+def _split_schedule(system: ConstraintSystem, config: ProverConfig) -> "list[int]":
+    """split[d] is the variable every box at depth d is bisected across."""
+    widths = np.array([v.hi - v.lo for v in system.variables], dtype=float)
+    split: "list[int]" = []
+    while len(split) < config.max_depth and np.any(widths > config.min_width):
+        j = int(np.argmax(widths))
+        split.append(j)
+        widths[j] *= 0.5
+    return split
+
+
+def _search(system: ConstraintSystem, split: "list[int]") -> ProofResult:
+    lo0 = np.array([[v.lo for v in system.variables]], dtype=float)
+    hi0 = np.array([[v.hi for v in system.variables]], dtype=float)
     cheap = [h for h in system.hypotheses if h.cheap]
     main = [h for h in system.hypotheses if not h.cheap]
     stats = ProofStats()
@@ -230,9 +246,8 @@ def _search(system: ConstraintSystem, config: ProverConfig) -> ProofResult:
 
     while stack:
         depth, LO, HI = stack.pop()
-        # Same-depth boxes share one width vector (the split choice depends
-        # only on widths, which depend only on depth), so merging trailing
-        # same-depth chunks is lossless and keeps the lanes vectorized.
+        # Same-depth boxes split across the same variable, so merging
+        # trailing same-depth chunks only keeps the lanes vectorized.
         if stack and stack[-1][0] == depth and LO.shape[0] < CHUNK_LANES:
             group = [LO]
             group_hi = [HI]
@@ -283,9 +298,7 @@ def _search(system: ConstraintSystem, config: ProverConfig) -> ProofResult:
             continue
         LOs, HIs = LOa[sidx], HIa[sidx]
 
-        widths = (HIs - LOs).max(axis=0)
-        at_floor = bool(np.all(widths <= config.min_width))
-        is_leaf = depth >= config.max_depth or at_floor
+        is_leaf = depth >= len(split)
 
         cand = np.arange(sidx.size) if is_leaf else np.flatnonzero(concl_cf[sidx])
         if cand.size:
@@ -303,7 +316,7 @@ def _search(system: ConstraintSystem, config: ProverConfig) -> ProofResult:
                 )
             continue
 
-        j = int(np.argmax(widths))
+        j = split[depth]
         mid = LOs[:, j] + 0.5 * (HIs[:, j] - LOs[:, j])
         hi_a = HIs.copy()
         hi_a[:, j] = mid
@@ -324,8 +337,7 @@ def _search(system: ConstraintSystem, config: ProverConfig) -> ProofResult:
 
 def prove(system: ConstraintSystem, config: Optional[ProverConfig] = None) -> ProofResult:
     """Run the branch-and-prune search at `config`, else at ProverConfig()."""
-    cfg = config or ProverConfig()
     t0 = time.perf_counter()
-    result = _search(system, cfg)
+    result = _search(system, _split_schedule(system, config or ProverConfig()))
     result.stats.wall_time_s = time.perf_counter() - t0
     return result

@@ -14,6 +14,7 @@ from diskpack.prover import (
     lemma_names,
     prove,
 )
+from diskpack.prover import engine
 from diskpack.prover.engine import OrRelation, Relation
 
 from fuzzers import conclusion_values, hypothesis_samples
@@ -129,9 +130,9 @@ class TestSamples:
         assert (s["sn"] < sigma(s["s1"])).any()
 
 
-# (boxes explored, boxes pruned, max depth) of every catalog system at its
-# default config.  A change to an enclosure or to the search that alters a
-# tree must update these on purpose.
+# (boxes explored, boxes pruned, max depth) of every catalog system at
+# ProverConfig().  A change to an enclosure or to the search that alters a
+# tree must update these on purpose; the chunk size must not alter one.
 PINNED_TREES = {
     "LEMMA_TP1": (27, 14, 6),
     "LEMMA_TP2": (89, 45, 10),
@@ -141,7 +142,7 @@ PINNED_TREES = {
     "LEMMA_SC4": (369593, 184797, 34),
     "LEMMA_SC5_SIGMA": (21061, 10531, 29),
     "LEMMA_SC6_SIGMA": (25937, 12969, 31),
-    "LEMMA_SC7_SIGMA": (28217, 14109, 32),
+    "LEMMA_SC7_SIGMA": (28261, 14131, 33),
     "LEMMA_MSC_NEG": (413487, 206744, 30),
     "LEMMA_MSC_POS": (13103, 6552, 26),
 }
@@ -154,5 +155,12 @@ class TestFastProofs:
         stats = res.stats
         assert res.status is ProofStatus.PROVED
         assert stats.undecided_count == 0
+        tree = (stats.boxes_explored, stats.boxes_pruned, stats.max_depth_reached)
+        assert tree == PINNED_TREES[name]
+
+    @pytest.mark.parametrize("name", ["LEMMA_SC4", "LEMMA_MSC_NEG"])
+    def test_chunk_size_does_not_change_the_tree(self, monkeypatch, name):
+        monkeypatch.setattr(engine, "CHUNK_LANES", 1024)
+        stats = prove(CATALOG[name]).stats
         tree = (stats.boxes_explored, stats.boxes_pruned, stats.max_depth_reached)
         assert tree == PINNED_TREES[name]

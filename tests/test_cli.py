@@ -26,7 +26,7 @@ from diskpack.cli import (
 from diskpack.errors import ParseError
 from diskpack.geometry import PlacedSquare
 from diskpack.packer import Instance, Packing, PackResult, validate
-from diskpack.prover import lemma_names
+from diskpack.prover import ProverConfig, lemma_names, prove
 
 
 def _doc(placements, case="C3"):
@@ -269,6 +269,20 @@ class TestProve:
         assert data["all_proved"] is False
         assert data["lemmas"][0]["status"] == "undecided"
         assert data["lemmas"][0]["max_depth_reached"] <= 2
+
+    def test_limits_reach_the_search(self, monkeypatch):
+        seen = []
+
+        def record(system, config):
+            seen.append(config)
+            return prove(system, config)
+
+        monkeypatch.setattr(cli, "prove", record)
+        assert main(["prove", "--lemma", "LEMMA_TP1"]) == EXIT_OK
+        assert main(
+            ["prove", "--lemma", "LEMMA_TP1", "--depth", "3", "--min-width", "0.25"]
+        ) == EXIT_NOT_PROVED
+        assert seen == [ProverConfig(), ProverConfig(max_depth=3, min_width=0.25)]
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -64,6 +64,73 @@ class TestStatuses:
         assert x * x <= 1.0
         assert confirm_counterexample(system, res.counterexample)
 
+    def _sqrt_above_one(self, lo, hi):
+        def prep(env):
+            e = dict(env)
+            e["r"] = sqrt(e["x"])
+            return e
+
+        return _sys(
+            "toy_sqrt_above_one",
+            [Variable("x", lo, hi)],
+            [],
+            Relation("sqrt(x) > 1", lambda e: e["r"], ">", 1.0),
+            prepare=prep,
+        )
+
+    def test_nan_midpoints_do_not_disprove(self):
+        # sqrt is NaN on every midpoint of [-1, -0.5] in NumPy and a domain
+        # error on the float path: nothing there is a counterexample
+        res = prove(self._sqrt_above_one(-1.0, -0.5))
+        assert res.status is not ProofStatus.DISPROVED
+        assert res.counterexample is None
+
+    def test_counterexample_skips_nan_midpoints(self):
+        # the root midpoint -0.25 has a NaN conclusion; a later one is real
+        system = self._sqrt_above_one(-1.0, 0.5)
+        res = prove(system)
+        assert res.status is ProofStatus.DISPROVED
+        assert confirm_counterexample(system, res.counterexample)
+        assert 0.0 <= res.counterexample["x"] <= 0.5
+
+    def test_counterexample_skips_midpoints_that_divide_by_zero(self):
+        # the root midpoint 0 divides by zero in plain floats (inf in NumPy)
+        def prep(env):
+            e = dict(env)
+            e["r"] = 1.0 / e["x"]
+            return e
+
+        system = _sys(
+            "toy_reciprocal",
+            [Variable("x", -1.0, 1.0)],
+            [],
+            Relation("x > 2", lambda e: e["x"], ">", 2.0),
+            prepare=prep,
+        )
+        assert not confirm_counterexample(system, {"x": 0.0})
+        res = prove(system)
+        assert res.status is ProofStatus.DISPROVED
+        assert res.counterexample["x"] != 0.0
+        assert confirm_counterexample(system, res.counterexample)
+
+    def test_integer_bounds_leave_no_gap(self):
+        # an integer lower bound must not truncate the midpoints written
+        # into the boxes: (-0.25, 0) holds the counterexamples here
+        system = _sys(
+            "toy_int_bounds",
+            [Variable("x", -1, 0.5)],
+            [],
+            Relation(
+                "(x+0.1)^2 > 0.001",
+                lambda e: (e["x"] + 0.1) * (e["x"] + 0.1),
+                ">",
+                0.001,
+            ),
+        )
+        res = prove(system)
+        assert res.status is ProofStatus.DISPROVED
+        assert confirm_counterexample(system, res.counterexample)
+
     def test_hypothesis_gated_falsity(self):
         # conclusion fails only above x=sqrt(2); hypothesis admits that region
         system = _sys(
@@ -225,6 +292,29 @@ class TestPrepareAndDomains:
         )
 
 
+class TestSplitSchedule:
+    def test_widest_root_width_after_halvings_first_on_ties(self):
+        system = _sys(
+            "toy_schedule",
+            [Variable("x", 0.0, 1.0), Variable("y", 0.0, 2.0), Variable("z", 0.0, 1.0)],
+            [],
+            Relation("x > -1", lambda e: e["x"], ">", -1.0),
+        )
+        split = engine._split_schedule(system, ProverConfig(max_depth=7, min_width=0.1))
+        assert split == [1, 0, 1, 2, 0, 1, 2]
+
+    def test_schedule_stops_at_the_width_floor(self):
+        system = _sys(
+            "toy_floor",
+            [Variable("x", 0.0, 1.0), Variable("y", 0.0, 0.0)],
+            [],
+            Relation("x > -1", lambda e: e["x"], ">", -1.0),
+        )
+        # widths 1, 1/2, 1/4, 1/8 exceed 0.1; 1/16 does not
+        assert engine._split_schedule(system, ProverConfig(60, 0.1)) == [0, 0, 0, 0]
+        assert engine._split_schedule(system, ProverConfig(2, 0.1)) == [0, 0]
+
+
 class TestSchedulingInvariance:
     def _two_var_system(self):
         return _sys(
@@ -251,16 +341,23 @@ class TestSchedulingInvariance:
 
 class TestControls:
     def test_undecided_cap_stops_early(self, monkeypatch):
+        # x - x is [-w, w] on a box of width w, so no box is ever decided and
+        # all 2**14 leaves are undecided; they arrive in more than one chunk
         system = _sys(
-            "toy_cap",
+            "toy_dependency",
             [Variable("x", 0.0, 1.0)],
             [],
-            Relation("x > 0", lambda e: e["x"], ">", 0.0),  # fails at the edge
+            Relation("x - x <= 0", lambda e: e["x"] - e["x"], "<=", 0.0),
         )
-        monkeypatch.setattr(engine, "UNDECIDED_CAP", 3)
-        res = prove(system, ProverConfig(max_depth=60, min_width=1e-9))
-        assert res.status is ProofStatus.UNDECIDED
-        assert res.stats.undecided_count >= 1
+        cfg = ProverConfig(max_depth=14, min_width=1e-9)
+        capped = prove(system, cfg)
+        assert capped.status is ProofStatus.UNDECIDED
+        assert capped.stats.undecided_count > engine.UNDECIDED_CAP
+        monkeypatch.setattr(engine, "UNDECIDED_CAP", 10**9)
+        full = prove(system, cfg)
+        assert full.status is ProofStatus.UNDECIDED
+        assert full.stats.undecided_count == 2**14
+        assert capped.stats.boxes_explored < full.stats.boxes_explored
 
     def test_max_depth_bounds_the_tree(self, monkeypatch):
         system = _sys(
