@@ -106,12 +106,30 @@ def E(s1: Numeric, sn: Numeric) -> Numeric:
     sg = sigma(s1)
 
     def fits() -> Numeric:
-        return (83 * square(sg)) / 100
+        return _pocket_credit(sg)
 
     def too_big() -> Numeric:
         return lift(0.0, sg)
 
     return branch_le(sn, sg, fits, too_big)
+
+
+def _pocket_credit(sg: Numeric) -> Numeric:
+    """83% of the inscribed pocket square of side sg."""
+    return (83 * square(sg)) / 100
+
+
+def _layers(
+    total: Numeric, a: Numeric, heights: "list[Numeric]", h_last: Numeric
+) -> "tuple[Numeric, Numeric]":
+    """Add B4 for each subcontainer of the given heights, stacked down from
+    top ordinate a, each against the next height (h_last after the last);
+    return the new total and the ordinate below the stack."""
+    for i, h in enumerate(heights):
+        h_next = heights[i + 1] if i + 1 < len(heights) else h_last
+        total = total + B4(a, h, chord_width(a, h), h_next)
+        a = a - h
+    return total, a
 
 
 def F_TP(s1: Numeric) -> "tuple[Numeric, Numeric]":
@@ -160,14 +178,7 @@ def F_SC(
     total = square(s1) + square(sn)
     if include_E:
         total = total + E(s1, sn)
-    a = T_inv(s1)
-    for i in range(k):
-        h = heights[i]
-        h_next = heights[i + 1] if i + 1 < k else sn
-        w = chord_width(a, h)
-        total = total + B4(a, h, w, h_next)
-        a = a - h
-    return total
+    return _layers(total, T_inv(s1), heights, sn)[0]
 
 
 def F_MSC1(
@@ -177,13 +188,8 @@ def F_MSC1(
     disk: three B4 layers, then B5 on the fourth against the full segment
     below it, plus the topmost square and the pocket credit."""
     ti = T_inv(s1)
-    sg = sigma(s1)
-    total = square(s1) + (83 * square(sg)) / 100
-    a = ti
-    for h, h_next in ((h1, h2), (h2, h3), (h3, h4)):
-        w = chord_width(a, h)
-        total = total + B4(a, h, w, h_next)
-        a = a - h
+    total = square(s1) + _pocket_credit(sigma(s1))
+    total, a = _layers(total, ti, [h1, h2, h3], h4)
     H4 = 1 + a
     A5 = segment_area_below(smin(h1 + h2 + h3 + h4 - ti, 1.0))
     return total + B5(h4, H4, A5)
@@ -201,18 +207,9 @@ def F_MSC2(
     center: two B4 layers above R, B6 on R itself (cut at ordinate
     -delta_y), and B5 on the subcontainer below R against the segment under
     its top, plus the topmost square and the pocket credit."""
-    ti = T_inv(s1)
-    sg = sigma(s1)
-    w1 = chord_width(ti, h1)
-    w2 = chord_width(ti - h1, h2)
-    H_R = ti - h1 - h2 + delta_y
-    W_R = chord_width(ti - h1 - h2, H_R)
+    total = square(s1) + _pocket_credit(sigma(s1))
+    total, a = _layers(total, T_inv(s1), [h1, h2], h3)
+    H_R = a + delta_y
+    W_R = chord_width(a, H_R)
     A_next = segment_area_below(delta_y + h_jnext)
-    return (
-        square(s1)
-        + (83 * square(sg)) / 100
-        + B4(ti, h1, w1, h2)
-        + B4(ti - h1, h2, w2, h3)
-        + B6(H_R, W_R, h_jnext)
-        + B5(h_jnext, 1 - delta_y, A_next)
-    )
+    return total + B6(H_R, W_R, h_jnext) + B5(h_jnext, 1 - delta_y, A_next)

@@ -226,21 +226,13 @@ def shelf_pack(
     height: float,
     sides: Sequence[float],
     tol: float = DEFAULT_TOL,
-) -> "tuple[list[tuple[float, float]], Optional[int]]":
+) -> "tuple[list[float], list[float], Optional[int]]":
     """Classic shelf packing of nonincreasing sides into a width x height
     rectangle anchored at (0, 0).
 
-    Returns the lower-left positions of the placed prefix and the index of
-    the first side that did not fit (None if all fit).  Shelves run
-    horizontally; each shelf's height is its first square."""
-    xs, ys, fail = _shelf_columns(width, height, sides, tol)
-    return list(zip(xs, ys)), fail
-
-
-def _shelf_columns(
-    width: float, height: float, sides: Sequence[float], tol: float
-) -> "tuple[list[float], list[float], Optional[int]]":
-    """shelf_pack with the placed prefix as separate x and y lists."""
+    Returns the lower-left x and y of the placed prefix as two lists and
+    the index of the first side that did not fit (None if all fit).
+    Shelves run horizontally; each shelf's height is its first square."""
     xs: "list[float]" = []
     ys: "list[float]" = []
     x_max, y_max = width + tol, height + tol
@@ -427,7 +419,7 @@ def _shelved(
     y row, a column per square in filling order), the rest shelf packed into
     a box x box square whose lower-left corner is the column `origin`."""
     rest = order[4:]
-    px, py, fail = _shelf_columns(box, box, side[rest].tolist(), tol)
+    px, py, fail = shelf_pack(box, box, side[rest].tolist(), tol)
     if fail is not None:
         return _failed(inst, int(rest[fail]))
     xy = np.empty((2, len(side)))

@@ -14,8 +14,9 @@ families.
   pocket, the accounting splits on where the third subcontainer ends:
   F_MSC1 covers a bottom at or below the center, F_MSC2 a bottom above it.
 
-Hypotheses that only order raw variables are marked cheap so the engine
-prunes on them before evaluating anything derived.
+Hypotheses that only order raw variables are labelled cheap.  The engine
+ignores the label: it evaluates every hypothesis, in the order given, in
+one pass after prepare().
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def _height_cap(i: int) -> float:
 
 
 def _chain(*names: str) -> "list[Relation]":
-    """Cheap hypotheses names[0] >= names[1] >= ... on raw variables."""
+    """Hypotheses names[0] >= names[1] >= ... on raw variables, labelled
+    cheap."""
     return [
         Relation(
             f"{small} <= {big}",

@@ -15,10 +15,12 @@ disproves the statement.
 
 Boxes are processed in chunks of same-depth boxes stored as two lane-major
 arrays, so every formula evaluates vectorized across lanes; the chunking
-changes the speed of a proof, not its tree.  Hypotheses marked cheap touch
-only raw variables and run before the derived quantities are computed;
-surviving lanes are compacted first, which keeps the expensive formulas off
-refuted regions.
+changes the speed of a proof, not its tree.  Each chunk gets one pass:
+prepare() builds the derived quantities, every hypothesis is evaluated in
+order, and the surviving lanes are compacted once before the conclusion,
+the expensive formula, runs on them.  A lane that leaves prepare()'s domain
+is poisoned, not raised on, so a hypothesis on raw variables still prunes it
+in the same pass.
 
 All expression callbacks receive an environment dict and must be written
 against the kind-generic scalar helpers, so the same callback serves the
@@ -66,7 +68,8 @@ _OPS = {
 @dataclass(frozen=True)
 class Relation:
     """`fn(env) op bound`, evaluated on intervals (certainty masks) or on
-    real points (plain booleans)."""
+    real points (plain booleans).  `cheap` labels a relation on raw
+    variables only; the engine ignores it."""
 
     label: str
     fn: Callable[[dict], object]
@@ -90,7 +93,7 @@ class Relation:
 @dataclass(frozen=True)
 class OrRelation:
     """Disjunction of relations: certainly true when some part is, certainly
-    false when all parts are."""
+    false when all parts are.  `cheap` is a label, as on Relation."""
 
     label: str
     parts: "tuple[Relation, ...]"
@@ -156,7 +159,7 @@ class ProofResult:
 class ConstraintSystem:
     """For all assignments in the variable ranges satisfying every
     hypothesis, the conclusion holds.  prepare() may add derived entries to
-    the environment for the non-cheap relations and the conclusion."""
+    the environment; it runs before every hypothesis and the conclusion."""
 
     name: str
     variables: "tuple[Variable, ...]"
@@ -237,8 +240,6 @@ def _split_schedule(system: ConstraintSystem, config: ProverConfig) -> "list[int
 def _search(system: ConstraintSystem, split: "list[int]") -> ProofResult:
     lo0 = np.array([[v.lo for v in system.variables]], dtype=float)
     hi0 = np.array([[v.hi for v in system.variables]], dtype=float)
-    cheap = [h for h in system.hypotheses if h.cheap]
-    main = [h for h in system.hypotheses if not h.cheap]
     stats = ProofStats()
     undecided: "list[dict]" = []
     stack = [(0, lo0, hi0)]
@@ -265,38 +266,26 @@ def _search(system: ConstraintSystem, split: "list[int]") -> ProofResult:
         stats.boxes_explored += lanes
         stats.max_depth_reached = max(stats.max_depth_reached, depth)
 
-        env = _env_from(system, LO, HI)
+        env = _prepared(system, _env_from(system, LO, HI))
         alive = np.ones(lanes, dtype=bool)
-        for rel in cheap:
-            _, cf = rel.certs(env)
-            alive &= ~cf
-            if not alive.any():
-                break
-        idx = np.flatnonzero(alive)
-        stats.boxes_pruned += lanes - idx.size
-        if idx.size == 0:
-            continue
-        LOa, HIa = LO[idx], HI[idx]
-        env = _prepared(system, _env_from(system, LOa, HIa))
-        alive = np.ones(idx.size, dtype=bool)
-        for rel in main:
+        for rel in system.hypotheses:
             _, cf = rel.certs(env)
             alive &= ~cf
         aidx = np.flatnonzero(alive)
-        stats.boxes_pruned += idx.size - aidx.size
+        stats.boxes_pruned += lanes - aidx.size
         if aidx.size == 0:
             continue
-        if aidx.size < idx.size:
+        if aidx.size < lanes:
             # The conclusion is the expensive formula; evaluate it only on
             # lanes that survived every hypothesis.
             env = _compact_env(env, aidx)
-            LOa, HIa = LOa[aidx], HIa[aidx]
+            LO, HI = LO[aidx], HI[aidx]
         concl_ct, concl_cf = system.conclusion.certs(env)
         sidx = np.flatnonzero(~concl_ct)
         stats.boxes_pruned += aidx.size - sidx.size
         if sidx.size == 0:
             continue
-        LOs, HIs = LOa[sidx], HIa[sidx]
+        LOs, HIs = LO[sidx], HI[sidx]
 
         is_leaf = depth >= len(split)
 

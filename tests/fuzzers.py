@@ -7,7 +7,9 @@ Two families live here:
   near overflow and on subnormal lanes) and the monotone
   ``segment_area_below`` enclosure, checking that the float truth of each lane
   stays inside the computed enclosure (or that the lane is honestly
-  poisoned when the operation left its domain);
+  poisoned when the operation left its domain), and that sampled lanes
+  enclose the exact image of the whole lane (rational arithmetic, or mpmath
+  at 50 digits for ``acos`` and ``segment_area_below``);
 * ``hypothesis_samples`` -- random points drawn inside a catalog system's
   variable box that satisfy *all* of its hypotheses, produced by a
   per-system proposal distribution and filtered by the system's own
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 from diskpack.geometry import T_inv, segment_area_below, sigma, z_below
@@ -64,18 +67,40 @@ def _magnitude(x: IntervalArray) -> np.ndarray:
     return np.maximum(np.abs(x.lo), np.abs(x.hi))
 
 
-def _exact_range(op: str, x: "tuple[Fraction, Fraction]", y: "tuple[Fraction, Fraction]"):
-    """The exact image of the lane(s) under op, in rational arithmetic."""
-    (xl, xh), (yl, yh) = x, y
+def _ends(v: "IntervalArray | float | None", i: int) -> "tuple[Fraction, Fraction] | None":
+    if v is None:
+        return None
+    if isinstance(v, IntervalArray):
+        return Fraction(float(v.lo[i])), Fraction(float(v.hi[i]))
+    c = Fraction(v)
+    return c, c
+
+
+def _exact_range(
+    op: str, x: "tuple[Fraction, Fraction]", y: "tuple[Fraction, Fraction] | None"
+):
+    """The exact image of the lane(s) under op, in rational arithmetic; for
+    sqrt, the range of the radicand the result's squared ends must cover.
+    A divisor lane must not contain zero."""
+    xl, xh = x
+    if op == "sqrt":
+        return max(xl, Fraction(0)), xh
+    if op == "square":
+        squares = (xl * xl, xh * xh)
+        return (Fraction(0) if xl < 0 < xh else min(squares)), max(squares)
+    yl, yh = y
     if op == "add":
         return xl + yl, xh + yh
     if op == "sub":
         return xl - yh, xh - yl
-    if op == "mul":
-        products = (xl * yl, xl * yh, xh * yl, xh * yh)
-        return min(products), max(products)
-    squares = (xl * xl, xh * xh)
-    return (Fraction(0) if xl < 0 < xh else min(squares)), max(squares)
+    if op == "div":
+        yl, yh = 1 / yh, 1 / yl
+    products = (xl * yl, xl * yh, xh * yl, xh * yh)
+    return min(products), max(products)
+
+
+def _mp_segment_area(c: "mp.mpf") -> "mp.mpf":
+    return mp.acos(c) - c * mp.sqrt(1 - c * c)
 
 
 class _Tally:
@@ -104,22 +129,47 @@ class _Tally:
         self.violations += int(np.count_nonzero(bad))
 
     def check_exact(
-        self, op: str, result: IntervalArray, x: IntervalArray, y: IntervalArray, lanes: np.ndarray
+        self,
+        op: str,
+        result: IntervalArray,
+        x: "IntervalArray | float",
+        y: "IntervalArray | float | None",
+        lanes: np.ndarray,
     ) -> None:
         # Soundness against the exact image of the whole lane: a float truth
         # is rounded like the endpoints themselves, so it cannot show an
-        # endpoint that rounded inward; a rational one can.  Poisoned lanes
-        # and infinite ends on their own side are sound.
+        # endpoint that rounded inward; a rational one can.  A float operand
+        # is a point lane.  Poisoned lanes and infinite ends on their own
+        # side are sound.  sqrt compares the squared ends with the radicand.
         for i in lanes:
             lo, hi = float(result.lo[i]), float(result.hi[i])
             if math.isnan(lo) or math.isnan(hi):
                 continue
-            ends = [(Fraction(float(v.lo[i])), Fraction(float(v.hi[i]))) for v in (x, y)]
-            exact_lo, exact_hi = _exact_range(op, *ends)
-            below = lo == -math.inf or Fraction(lo) <= exact_lo
-            above = hi == math.inf or exact_hi <= Fraction(hi)
+            exact_lo, exact_hi = _exact_range(op, _ends(x, i), _ends(y, i))
+            if op == "sqrt":
+                below = lo <= 0.0 or Fraction(lo) ** 2 <= exact_lo
+                above = hi == math.inf or (hi >= 0.0 and exact_hi <= Fraction(hi) ** 2)
+            else:
+                below = lo == -math.inf or Fraction(lo) <= exact_lo
+                above = hi == math.inf or exact_hi <= Fraction(hi)
             self.checks += 1
             self.violations += int(not (below and above))
+
+    def check_nonincreasing(
+        self, f, result: IntervalArray, x: IntervalArray, lanes: np.ndarray
+    ) -> None:
+        # f is nonincreasing on [-1, 1], so the exact image of a lane
+        # clamped to [-1, 1] runs from f at its upper end to f at its lower
+        # end; mpmath evaluates both at 50 digits, far below a double's ulp.
+        with mp.workdps(50):
+            for i in lanes:
+                lo, hi = float(result.lo[i]), float(result.hi[i])
+                if math.isnan(lo) or math.isnan(hi):
+                    continue
+                exact_lo = f(mp.mpf(min(float(x.hi[i]), 1.0)))
+                exact_hi = f(mp.mpf(max(float(x.lo[i]), -1.0)))
+                self.checks += 1
+                self.violations += int(not (lo <= exact_lo and exact_hi <= hi))
 
 
 def interval_containment_fuzz(seed: int, lanes: int) -> "tuple[int, int]":
@@ -150,24 +200,41 @@ def interval_containment_fuzz(seed: int, lanes: int) -> "tuple[int, int]":
     tally.check(x.min_with(y), np.minimum(px, py), domain_clean=np.ones(lanes, bool))
     tally.check(x.max_with(y), np.maximum(px, py), domain_clean=np.ones(lanes, bool))
 
-    # Scalar fast paths, both signs plus the annihilating zero.
-    tally.check(x * 3.5, px * 3.5, domain_clean=np.ones(lanes, bool))
-    tally.check(-2.25 * x, -2.25 * px, domain_clean=np.ones(lanes, bool))
-    tally.check(x * 0.0, px * 0.0, domain_clean=np.ones(lanes, bool))
-    tally.check(x / 4.0, px / 4.0, domain_clean=np.ones(lanes, bool))
-    tally.check(x / -0.5, px / -0.5, domain_clean=np.ones(lanes, bool))
-    tally.check(x + 1.25, px + 1.25, domain_clean=np.ones(lanes, bool))
-    tally.check(1.25 + x, 1.25 + px, domain_clean=np.ones(lanes, bool))
-    tally.check(1.0 - x, 1.0 - px, domain_clean=np.ones(lanes, bool))
-    tally.check(x - 1.0, px - 1.0, domain_clean=np.ones(lanes, bool))
+    # Exact checks sample lanes from their own stream, so the battery's
+    # inputs are the same with or without them.
+    pick = np.random.default_rng((seed, 1))
+    some = pick.choice(lanes, size=min(lanes, 64), replace=False)
+
+    # Scalar fast paths, both signs plus the annihilating zero; a divisor
+    # of 3 rounds, where a power of two would not.
+    for op, r, a, b, truth in (
+        ("mul", x * 3.5, x, 3.5, px * 3.5),
+        ("mul", -2.25 * x, x, -2.25, -2.25 * px),
+        ("mul", x * 0.0, x, 0.0, px * 0.0),
+        ("div", x / 4.0, x, 4.0, px / 4.0),
+        ("div", x / -0.5, x, -0.5, px / -0.5),
+        ("div", x / 3.0, x, 3.0, px / 3.0),
+        ("div", x / -3.0, x, -3.0, px / -3.0),
+        ("add", x + 1.25, x, 1.25, px + 1.25),
+        ("add", 1.25 + x, x, 1.25, 1.25 + px),
+        ("sub", 1.0 - x, 1.0, x, 1.0 - px),
+        ("sub", x - 1.0, x, 1.0, px - 1.0),
+    ):
+        tally.check(r, truth, domain_clean=np.ones(lanes, bool))
+        tally.check_exact(op, r, a, b, some)
 
     # Division by an interval bounded away from zero is domain-clean.
     dsign = np.where(rng.random(lanes) < 0.5, -1.0, 1.0)
     pd = dsign * rng.uniform(0.25, 4.0, lanes) * scales
     d = _enclose(rng, pd, 0.05)
     clean_div = (d.lo > 0) | (d.hi < 0)
-    tally.check(x / d, px / pd, domain_clean=clean_div)
-    tally.check(2.0 / d, 2.0 / pd, domain_clean=clean_div)
+    quot_d, recip_d = x / d, 2.0 / d
+    tally.check(quot_d, px / pd, domain_clean=clean_div)
+    tally.check(recip_d, 2.0 / pd, domain_clean=clean_div)
+    clean = np.flatnonzero(clean_div)
+    some_clean = pick.choice(clean, size=min(clean.size, 64), replace=False)
+    tally.check_exact("div", quot_d, x, d, some_clean)
+    tally.check_exact("div", recip_d, 2.0, d, some_clean)
 
     # Division through zero must poison, never lie.
     z_lo = -rng.uniform(0.1, 1.0, lanes)
@@ -182,23 +249,31 @@ def interval_containment_fuzz(seed: int, lanes: int) -> "tuple[int, int]":
     pnn = np.abs(px)
     xnn = _enclose(rng, pnn, 0.05)
     xnn = IntervalArray(np.maximum(xnn.lo, 0.0), xnn.hi)
-    tally.check(xnn.sqrt(), np.sqrt(pnn), domain_clean=np.ones(lanes, bool))
+    root = xnn.sqrt()
+    tally.check(root, np.sqrt(pnn), domain_clean=np.ones(lanes, bool))
+    tally.check_exact("sqrt", root, xnn, None, some)
     part = IntervalArray(px - np.abs(px) - 0.5, np.abs(px) + 0.5)  # straddles 0
     truth_nn = np.where(px >= 0.0, np.sqrt(np.abs(px)), np.nan)
-    tally.check(part.sqrt(), truth_nn, domain_clean=np.ones(lanes, bool))
+    root = part.sqrt()
+    tally.check(root, truth_nn, domain_clean=np.ones(lanes, bool))
+    tally.check_exact("sqrt", root, part, None, some)
 
     # acos on lanes inside [-1, 1].
     pu = rng.uniform(-1.0, 1.0, lanes)
     u = _enclose(rng, pu, 0.02)
     u = IntervalArray(np.maximum(u.lo, -1.0), np.minimum(u.hi, 1.0))
-    tally.check(u.acos(), np.arccos(pu), domain_clean=np.ones(lanes, bool))
+    arc = u.acos()
+    tally.check(arc, np.arccos(pu), domain_clean=np.ones(lanes, bool))
+    tally.check_nonincreasing(mp.acos, arc, u, some)
 
     # segment_area_below on enclosures: the nonincreasing f evaluated at the
     # two clamped ends of each lane.  Lanes inside [-1, 1] are domain-clean.
     def area(p: np.ndarray) -> np.ndarray:
         return np.arccos(p) - p * np.sqrt(np.maximum(1.0 - p * p, 0.0))
 
-    tally.check(segment_area_below(u), area(pu), domain_clean=np.ones(lanes, bool))
+    seg = segment_area_below(u)
+    tally.check(seg, area(pu), domain_clean=np.ones(lanes, bool))
+    tally.check_nonincreasing(_mp_segment_area, seg, u, some)
 
     # Lanes packed toward c -> +-1, where the slope of the square root has no
     # bound: each lane reaches a random multiple of the gap to its end.
@@ -214,13 +289,17 @@ def interval_containment_fuzz(seed: int, lanes: int) -> "tuple[int, int]":
         np.maximum(pe - np.where(side > 0, inward, outward), -1.0),
         np.minimum(pe + np.where(side > 0, outward, inward), 1.0),
     )
-    tally.check(segment_area_below(e), area(pe), domain_clean=np.ones(lanes, bool))
+    seg = segment_area_below(e)
+    tally.check(seg, area(pe), domain_clean=np.ones(lanes, bool))
+    tally.check_nonincreasing(_mp_segment_area, seg, e, some)
 
     # A lane that only partly overshoots +-1 is clamped, never poisoned; the
     # truth at an inner point inside [-1, 1] must hold.
     over = rng.uniform(1e-12, 0.5, lanes)
     ov = IntervalArray(np.where(side > 0, pu, -1.0 - over), np.where(side > 0, 1.0 + over, pu))
-    tally.check(segment_area_below(ov), area(pu), domain_clean=np.ones(lanes, bool))
+    seg = segment_area_below(ov)
+    tally.check(seg, area(pu), domain_clean=np.ones(lanes, bool))
+    tally.check_nonincreasing(_mp_segment_area, seg, ov, some)
 
     # A lane wholly above 1, wholly below -1 or NaN must poison.
     start = np.nextafter(1.0, 2.0) + rng.uniform(0.0, 1.0, lanes) * (rng.random(lanes) < 0.5)

@@ -144,12 +144,12 @@ def test_criterion_3_guarantee_sweep():
 # ---------------------------------------------------------------- criterion 4
 
 
-def _shelf_geometry_ok(positions, sides, width, height) -> bool:
+def _shelf_geometry_ok(xs, ys, sides, width, height) -> bool:
     """In-bounds and pairwise-disjoint via the shelf structure: within one
     shelf x-intervals must chain; shelf bases must clear the shelf heights."""
     slop = 1e-9
     shelves: "dict[float, list[tuple[float, float]]]" = {}
-    for (x, y), s in zip(positions, sides):
+    for x, y, s in zip(xs, ys, sides):
         if not (-slop <= x and x + s <= width + slop and -slop <= y and y + s <= height + slop):
             return False
         shelves.setdefault(y, []).append((x, s))
@@ -236,16 +236,16 @@ def test_criterion_4_shelf_guarantees():
     rect_failures = 0
     for _ in range(1000):
         w, h, sides = _rect_regime_set(rng)
-        positions, fail = shelf_pack(w, h, sides)
-        if fail is not None or not _shelf_geometry_ok(positions, sides, w, h):
+        xs, ys, fail = shelf_pack(w, h, sides)
+        if fail is not None or not _shelf_geometry_ok(xs, ys, sides, w, h):
             rect_failures += 1
 
     rng = random.Random(45)
     unit_failures = 0
     for _ in range(1000):
         sides = _unit_square_set(rng)
-        positions, fail = shelf_pack(1.0, 1.0, sides)
-        if fail is not None or not _shelf_geometry_ok(positions, sides, 1.0, 1.0):
+        xs, ys, fail = shelf_pack(1.0, 1.0, sides)
+        if fail is not None or not _shelf_geometry_ok(xs, ys, sides, 1.0, 1.0):
             unit_failures += 1
 
     elapsed = time.perf_counter() - t0

@@ -91,7 +91,7 @@ class TestStructure:
             )
 
     def test_cheap_hypotheses_are_raw_variable_relations(self):
-        # cheap relations must be evaluable before prepare() runs
+        # the cheap label names relations on raw variables only
         for system in lemma_catalog():
             raw = {v.name: 0.5 for v in system.variables}
             for h in system.hypotheses:

@@ -567,17 +567,17 @@ class TestValidateAgainstBruteForce:
 
 class TestShelfPack:
     def test_two_full_shelves(self):
-        positions, fail = shelf_pack(1.0, 1.0, [0.5, 0.5, 0.5, 0.5])
+        xs, ys, fail = shelf_pack(1.0, 1.0, [0.5, 0.5, 0.5, 0.5])
         assert fail is None
-        assert positions == [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]
+        assert (xs, ys) == ([0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 0.5, 0.5])
 
     def test_height_overflow_reports_index(self):
-        positions, fail = shelf_pack(1.0, 1.0, [0.6, 0.6])
-        assert fail == 1 and len(positions) == 1
+        xs, ys, fail = shelf_pack(1.0, 1.0, [0.6, 0.6])
+        assert fail == 1 and len(xs) == len(ys) == 1
 
     def test_width_overflow_immediate(self):
-        positions, fail = shelf_pack(1.0, 1.0, [1.2])
-        assert fail == 0 and positions == []
+        xs, ys, fail = shelf_pack(1.0, 1.0, [1.2])
+        assert fail == 0 and xs == ys == []
 
     def test_half_area_guarantee_randomized(self):
         # Half-area sets in the regime where the classic shelf bound holds:
@@ -608,13 +608,13 @@ class TestShelfPack:
                 sides.append(s)
                 budget -= s * s
             sides.sort(reverse=True)
-            positions, fail = shelf_pack(w, h, sides)
+            xs, ys, fail = shelf_pack(w, h, sides)
             assert fail is None
-            for (x, y), s in zip(positions, sides):
+            for x, y, s in zip(xs, ys, sides):
                 assert -1e-9 <= x and x + s <= w + 1e-9
                 assert -1e-9 <= y and y + s <= h + 1e-9
             # pairwise disjoint interiors
-            boxes = [(x, y, x + s, y + s) for (x, y), s in zip(positions, sides)]
+            boxes = [(x, y, x + s, y + s) for x, y, s in zip(xs, ys, sides)]
             for i in range(len(boxes)):
                 for j in range(i + 1, len(boxes)):
                     ax0, ay0, ax1, ay1 = boxes[i]

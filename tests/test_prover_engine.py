@@ -23,7 +23,7 @@ from diskpack.prover.engine import (
     confirm_counterexample,
 )
 from diskpack.iarrays import IntervalArray
-from diskpack.scalars import sqrt
+from diskpack.scalars import sqrt, square
 
 
 def _sys(name, variables, hypotheses, conclusion, prepare=None):
@@ -248,23 +248,37 @@ class TestOrRelation:
 
 
 class TestPrepareAndDomains:
-    def test_cheap_hypotheses_gate_prepare_domain(self):
-        # prepare computes sqrt(x); the cheap hypothesis removes x < 0 boxes
-        # before prepare runs, and clamping covers the straddling remainder.
+    @pytest.mark.parametrize("cheap", [True, False])
+    def test_prepare_poisoned_lanes_are_pruned_by_the_hypothesis(self, cheap, monkeypatch):
+        # prepare computes sqrt(x), which poisons every lane wholly below 0
+        # (a straddling lane is clamped).  No conclusion certifies a
+        # poisoned lane, so only the hypothesis x >= 0 prunes those lanes,
+        # in the same pass as prepare; the cheap label changes nothing.
+        prepares = []
+
         def prep(env):
+            prepares.append(1)
             e = dict(env)
             e["r"] = sqrt(e["x"])
             return e
 
+        builds = []
+        env_from = engine._env_from
+        monkeypatch.setattr(engine, "_env_from", lambda *a: builds.append(1) or env_from(*a))
         system = _sys(
             "toy_sqrt",
-            [Variable("x", -1.0, 1.0)],
-            [Relation("x >= 0", lambda e: e["x"], ">=", 0.0, cheap=True)],
-            Relation("sqrt(x) >= 0", lambda e: e["r"], ">=", 0.0),
+            [Variable("x", -1.0, 2.0)],
+            [Relation("x >= 0", lambda e: e["x"], ">=", 0.0, cheap=cheap)],
+            Relation("sqrt(x)^2 - x >= -1e-3", lambda e: square(e["r"]) - e["x"], ">=", -1e-3),
             prepare=prep,
         )
-        res = prove(system, ProverConfig(max_depth=20, min_width=1e-6))
+        config = ProverConfig(max_depth=20, min_width=1e-6)
+        res = prove(system, config)
         assert res.status is ProofStatus.PROVED
+        assert (res.stats.boxes_explored, res.stats.boxes_pruned) == (5471, 2736)
+        assert len(builds) == len(prepares)  # one environment per chunk
+        unguarded = prove(dataclasses.replace(system, hypotheses=()), config)
+        assert unguarded.status is ProofStatus.UNDECIDED
 
     def test_confirm_counterexample_rejects_domain_errors(self):
         def prep(env):
