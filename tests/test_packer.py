@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib.util
 import itertools
 import math
 import random
+import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diskpack import packer
 from diskpack.cli import format_document, format_svg
 from diskpack.errors import InputError
 from diskpack.geometry import CONSTANTS, PlacedSquare, T_inv, pocket_geometry
@@ -418,12 +424,43 @@ def _report_fields(rep):
     )
 
 
+# validate's private chooser forced to one overlap search: the sweep, or
+# the grid wherever it can index the coordinates
+_BUDGETS = {"sweep": lambda n, ratio: 0.0, "grid": lambda n, ratio: math.inf}
+
+
+@contextlib.contextmanager
+def _search(name):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packer, "_grid_budget", _BUDGETS[name])
+        yield
+
+
+def _search_taken(placements, tol=DEFAULT_TOL, forced=None):
+    """The overlap searches validate ran: ["sweep"], ["grid"], or [] when
+    fewer than two squares can overlap."""
+    taken = []
+    sweep, grid = packer._sweep_pairs, packer._Grid.pairs
+    with contextlib.ExitStack() as stack:
+        if forced:
+            stack.enter_context(_search(forced))
+        mp = stack.enter_context(pytest.MonkeyPatch.context())
+        mp.setattr(packer, "_sweep_pairs", lambda *a: taken.append("sweep") or sweep(*a))
+        mp.setattr(packer._Grid, "pairs", lambda self, *a: taken.append("grid") or grid(self, *a))
+        validate(placements, tol)
+    return taken
+
+
 def _assert_matches_brute_force(placements, tol):
     """validate against the oracle, on a Placements view and on a plain
-    list of PlacedSquare, whose reports must agree field for field."""
+    list of PlacedSquare, and forced onto each overlap search; all reports
+    must agree field for field."""
     escaped, pairs, max_norm = oracles.brute_force_validation(placements, tol)
     rep = validate(Placements.of(placements), tol)
     assert _report_fields(validate(list(placements), tol)) == _report_fields(rep)
+    for name in _BUDGETS:
+        with _search(name):
+            assert _report_fields(validate(placements, tol)) == _report_fields(rep), name
     assert rep.checked == len(placements)
     assert list(rep.containment_violations) == escaped
     assert list(rep.overlap_violations) == sorted(rep.overlap_violations)  # ascending (i, j)
@@ -461,10 +498,58 @@ def _planted(placements, seed):
     return out
 
 
+def _nudged(v, ulps):
+    step = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, step)
+    return v
+
+
+def _lattice(side=1.0 / 16, k=16):
+    """k * k squares on a dyadic lattice over [-0.5, 0.5): every edge sum
+    is exact, so neighbours share edges and lie exactly one cell apart."""
+    return [PlacedSquare(-0.5 + i * side, -0.5 + j * side, side) for i in range(k) for j in range(k)]
+
+
+def _one_ulp_across_a_cell(side=1.0 / 16):
+    """Two pairs that overlap by one ulp at tol 0 and whose lower-left
+    corners straddle a cell one ulp narrower than the side: at -tiny (cell
+    -1) and at the side less one ulp, across x and across y."""
+    short = math.nextafter(side, 0.0)
+    return [
+        PlacedSquare(-1e-300, 0.25, side),
+        PlacedSquare(short, 0.25, side),
+        PlacedSquare(0.25, -1e-300, side),
+        PlacedSquare(0.25, short, side),
+    ]
+
+
+def _diagonal_pair(side=1.0 / 16):
+    """Two overlapping squares in cells (0, 1) and (1, 0)."""
+    return [PlacedSquare(0.05, 0.07, side), PlacedSquare(0.07, 0.05, side)]
+
+
+def _c3_planted_under_large(n=3000):
+    """A C3 adversarial_top4 packing plus tiny squares inside, on the edge
+    of, and just clear of a large one."""
+    res = pack(gen_random(7, n, 0.8, "adversarial_top4"))
+    assert res.packing.case == "C3"
+    placements = list(res.packing.placements)
+    big = max(placements, key=lambda p: p.side)
+    tiny = min(placements, key=lambda p: p.side)
+    return placements + [
+        PlacedSquare(big.x + big.side / 3, big.y + big.side / 3, tiny.side),
+        PlacedSquare(big.x2, big.y + big.side / 2, tiny.side),
+        PlacedSquare(big.x - tiny.side, big.y, tiny.side),
+        PlacedSquare(big.x2 - tiny.side / 2, big.y2 - tiny.side / 2, tiny.side),
+    ]
+
+
 class TestValidateAgainstBruteForce:
-    """validate's sweep against the exhaustive O(n^2) check
-    of tests/oracles.py: containment indices, overlap pairs, checked and
-    max corner norm must all agree exactly."""
+    """validate against the exhaustive O(n^2) check of tests/oracles.py,
+    through both overlap searches (_assert_matches_brute_force):
+    containment indices, overlap pairs, checked and max corner norm must
+    all agree exactly."""
 
     TOLS = (0.0, 1e-12, 1e-9)
 
@@ -491,19 +576,7 @@ class TestValidateAgainstBruteForce:
                 assert not rep.ok
 
     def test_c3_adversarial_planted_under_the_large_squares(self):
-        inst = gen_random(7, 3000, 0.8, "adversarial_top4")
-        res = pack(inst)
-        assert res.packing.case == "C3"
-        placements = list(res.packing.placements)
-        big = max(placements, key=lambda p: p.side)
-        tiny = min(placements, key=lambda p: p.side)
-        # tiny squares inside, on the edge of, and just clear of a large one
-        placements += [
-            PlacedSquare(big.x + big.side / 3, big.y + big.side / 3, tiny.side),
-            PlacedSquare(big.x2, big.y + big.side / 2, tiny.side),
-            PlacedSquare(big.x - tiny.side, big.y, tiny.side),
-            PlacedSquare(big.x2 - tiny.side / 2, big.y2 - tiny.side / 2, tiny.side),
-        ]
+        placements = _c3_planted_under_large()
         for tol in self.TOLS:
             rep = _assert_matches_brute_force(placements, tol)
             assert not rep.ok
@@ -543,6 +616,79 @@ class TestValidateAgainstBruteForce:
         for tol in self.TOLS:
             _assert_matches_brute_force(base + odd, tol)
 
+    def test_squares_one_cell_apart(self):
+        placements = _lattice() + _one_ulp_across_a_cell()
+        assert _search_taken(placements) == ["grid"]
+        for tol in self.TOLS:
+            rep = _assert_matches_brute_force(placements, tol)
+            assert not rep.ok
+        # at tol 0 the straddling pairs overlap by one ulp
+        assert {(256, 257), (258, 259)} <= set(validate(placements, 0.0).overlap_violations)
+
+    @pytest.mark.parametrize("dist", ["equal", "adversarial_top4"])
+    def test_negative_coordinates(self, dist):
+        # a packing and its planted copy moved below and left of the
+        # origin, where floor takes cell indices away from zero
+        placements = pack(gen_random(3, 400, 1.6, dist)).packing.placements
+        moved = [PlacedSquare(p.x - 3.0, p.y - 2.5, p.side) for p in placements]
+        for case in (moved, _planted(moved, 4)):
+            assert _search_taken(case) == ["grid"]
+            for tol in self.TOLS:
+                _assert_matches_brute_force(case, tol)
+
+    def test_quotients_rounding_across_integers(self):
+        # squares of side 0.15 at multiples of the cell nudged by an ulp:
+        # neighbours overlap or part by an ulp or two, and some x / cell
+        # round up onto the integer that their exact quotient falls short of
+        side = cell = 0.15
+        for _ in range(2):  # the cell is the widest rounded x2 - x
+            placements = [
+                PlacedSquare(_nudged(i * cell, (i + j) % 3 - 1), _nudged(j * cell, (i * j) % 3 - 1), side)
+                for i in range(-12, 13)
+                for j in range(-4, 5)
+            ]
+            cell = max(p.x2 - p.x for p in placements)
+        assert sum(math.floor(p.x / cell) != math.floor(Fraction(p.x) / Fraction(cell)) for p in placements) >= 5
+        assert _search_taken(placements) == ["grid"]
+        for tol in self.TOLS:
+            _assert_matches_brute_force(placements, tol)
+
+    @pytest.mark.parametrize(
+        "odd, search",
+        [
+            # squares no search sees (not live), and ones so tall or wide that
+            # they are among the k tallest, which the grid tests directly
+            (
+                [
+                    PlacedSquare(float("nan"), 0.0, 0.1),
+                    PlacedSquare(0.0, float("nan"), 0.1),
+                    PlacedSquare(0.0, 0.0, float("nan")),
+                    PlacedSquare(float("inf"), 0.0, 0.1),
+                    PlacedSquare(0.0, -float("inf"), 0.1),
+                    PlacedSquare(1e308, 0.0, 0.1),
+                    PlacedSquare(0.0, 1e308, 1e308),
+                    PlacedSquare(1e308, -1e308, 1e308),
+                    PlacedSquare(0.1, 1.7e308, 1e308),
+                ],
+                "grid",
+            ),
+            # cells of infinite width: the grid hands them to the sweep
+            ([PlacedSquare(1e308, -1e308 + i * 1e300, 1e308) for i in range(300)], "sweep"),
+            # cell indices of about 1.6e10, too large to be exact: the sweep
+            ([PlacedSquare(1e9 + p.x, p.y, p.side) for p in _lattice()], "sweep"),
+        ],
+        ids=["not-live-or-large", "infinite-cells", "far-cells"],
+    )
+    def test_non_finite_and_huge_coordinates(self, odd, search):
+        placements = _lattice() + odd
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow to inf, inf - inf
+            # the grid never casts a NaN or out-of-range float to an int
+            warnings.filterwarnings("error", "invalid value encountered in cast", RuntimeWarning)
+            assert _search_taken(placements, forced="grid") == [search]
+            for tol in self.TOLS:
+                _assert_matches_brute_force(placements, tol)
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -565,7 +711,119 @@ class TestValidateAgainstBruteForce:
         _assert_matches_brute_force(placements, tol)
 
 
+def _sweep_mix_cases(seed):
+    """The instance specs of perfbench's sweep_mix workload at a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.sweep_cases(seed)
+
+
+class TestOverlapSearchDispatch:
+    """Which of validate's two overlap searches runs: the grid on many
+    near-equal squares, the sweep below the crossover and on skewed sides."""
+
+    def test_small_inputs_take_the_sweep(self):
+        for dist in DISTS:
+            placements = pack(gen_random(1, 100, 1.6, dist)).packing.placements
+            assert _search_taken(placements) == ["sweep"], dist
+        # just below and at the crossover, with every square live
+        placements = _lattice(k=15)[: packer._GRID_MIN_N - 1]
+        assert _search_taken(placements) == ["sweep"]
+        assert _search_taken(_lattice(k=15)[: packer._GRID_MIN_N]) == ["grid"]
+
+    @pytest.mark.parametrize("area", [1.6, 0.8])
+    def test_powerlaw_takes_the_sweep(self, area):
+        placements = pack(gen_random(2, 10_000, area, "powerlaw")).packing.placements
+        assert _search_taken(placements) == ["sweep"]
+
+    @pytest.mark.parametrize("n", [300, 3000])
+    @pytest.mark.parametrize("s1", [0.325, 0.7, 1.0, 1.22])
+    def test_skewed_c3_takes_the_sweep(self, s1, n):
+        res = pack(_heavy_c3(n, n, s1))
+        assert res.packing.case == "C3"
+        assert _search_taken(res.packing.placements) == ["sweep"]
+
+    @pytest.mark.parametrize("area", [1.6, 0.8])
+    @pytest.mark.parametrize("dist", ["equal", "adversarial_top4"])
+    def test_near_equal_sides_take_the_grid(self, dist, area):
+        placements = pack(gen_random(3, 10_000, area, dist)).packing.placements
+        assert _search_taken(placements) == ["grid"]
+
+    def test_both_searches_agree_on_the_benchmark_packings(self):
+        cases = _sweep_mix_cases(11)
+        assert len(cases) == 312
+        for c in cases:
+            placements = pack(gen_random(c.seed, c.n, c.area, c.dist)).packing.placements
+            reports = []
+            for name in _BUDGETS:
+                with _search(name):
+                    reports.append(_report_fields(validate(placements, DEFAULT_TOL)))
+            assert reports[0] == reports[1], c
+
+
+def _smaller_cells(monkeypatch):
+    of = packer._Grid.of.__func__
+
+    def mutant(cls, x, y, x2, y2, rest, cw, ch):
+        return of(cls, x, y, x2, y2, rest, math.nextafter(cw, 0.0), math.nextafter(ch, 0.0))
+
+    monkeypatch.setattr(packer._Grid, "of", classmethod(mutant))
+
+
+def _no_down_right_neighbour(monkeypatch):
+    monkeypatch.setattr(packer, "_RUNS", ((0, 0, 1), (1, 0, 1)))
+
+
+def _no_large(monkeypatch):
+    pairs = packer._Grid.pairs
+    monkeypatch.setattr(packer._Grid, "pairs", lambda self, large, tt: pairs(self, large[:0], tt))
+
+
+class TestValidatorMutants:
+    """Each mutant of the grid must make the forced grid disagree with the
+    brute-force oracle on its case, at some tolerance; the unmutated grid
+    must agree on all of them."""
+
+    CASES = {
+        "one cell apart": lambda: _lattice() + _one_ulp_across_a_cell(),
+        "diagonal": lambda: _lattice() + _diagonal_pair(),
+        "under the large squares": lambda: _c3_planted_under_large(600),
+    }
+
+    @staticmethod
+    def _disagrees(placements):
+        for tol in TestValidateAgainstBruteForce.TOLS:
+            _, pairs, _ = oracles.brute_force_validation(placements, tol)
+            with _search("grid"):
+                if list(validate(placements, tol).overlap_violations) != pairs:
+                    return True
+        return False
+
+    @pytest.mark.parametrize(
+        "mutant, case",
+        [
+            (_smaller_cells, "one cell apart"),
+            (_no_down_right_neighbour, "diagonal"),
+            (_no_large, "under the large squares"),
+        ],
+        ids=["cell-one-ulp-short", "no-(1,-1)-neighbour", "no-large-list"],
+    )
+    def test_mutant_is_caught(self, monkeypatch, mutant, case):
+        placements = self.CASES[case]()
+        assert not self._disagrees(placements)
+        mutant(monkeypatch)
+        assert _search_taken(placements, forced="grid") == ["grid"]
+        assert self._disagrees(placements)
+
+
 class TestShelfPack:
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 5.0])
+    def test_meaningless_tol_is_refused(self, tol):
+        with pytest.raises(InputError):
+            shelf_pack(1.0, 1.0, [0.9] * 3, tol)
+
     def test_two_full_shelves(self):
         xs, ys, fail = shelf_pack(1.0, 1.0, [0.5, 0.5, 0.5, 0.5])
         assert fail is None
