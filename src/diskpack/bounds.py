@@ -163,17 +163,16 @@ def F_TP(s1: Numeric) -> "tuple[Numeric, Numeric]":
 
 
 def F_SC(
-    k: int,
     s1: Numeric,
     heights: "list[Numeric]",
     sn: Numeric,
     include_E: bool = True,
 ) -> Numeric:
-    """Total-area bound for a stack of k filled subcontainers hanging under
-    the topmost square, at the moment a square of side sn fails everywhere:
-    the two blocking squares, optionally the pocket credit E, and B4 per
-    subcontainer with the next height as the failed side."""
-    if not 1 <= k <= 7 or len(heights) != k:
+    """Total-area bound for a stack of k = len(heights) filled subcontainers
+    hanging under the topmost square, at the moment a square of side sn
+    fails everywhere: the two blocking squares, optionally the pocket credit
+    E, and B4 per subcontainer with the next height as the failed side."""
+    if not 1 <= len(heights) <= 7:
         raise ContractError(f"F_SC: expected 1 <= k <= 7 heights, got {len(heights)}")
     total = square(s1) + square(sn)
     if include_E:

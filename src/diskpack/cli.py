@@ -6,13 +6,14 @@ Four subcommands share one executable:
     Read an instance file (one decimal side length per line), pack it into
     the unit disk, and write a versioned packing document plus an optional
     SVG rendering.  Exit 0 on success, 2 when packing fails, 3 when the
-    written packing fails its own validation, 1 on bad input (a NaN,
-    infinite or negative --tol, or one above 1e-6, included).
+    written packing fails its own validation, 1 on bad input.  Squares
+    are admitted and the written packing validated at the fixed tolerance
+    1e-9; pack takes no --tol, and one given is a usage error (exit 1).
 ``verify``
     Re-validate a packing document independently of whoever produced it.
     Containment and overlap violations are listed on stderr and flip the
-    exit code to 3; unparseable documents, and a --tol that pack refuses,
-    exit 1.
+    exit code to 3; unparseable documents, and a NaN, infinite or negative
+    --tol, or one above 1e-6, exit 1.
 ``prove``
     Run inequality systems from the lemma catalog through the interval
     branch-and-prune prover.  Exit 0 only if every requested system is
@@ -248,7 +249,7 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_pack(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     inst = parse_instance(_read_text(args.input))
-    result = pack(inst, tol=args.tol)
+    result = pack(inst)
     if not result.ok:
         side = inst.sides[result.failed_index]
         print(
@@ -263,7 +264,7 @@ def cmd_pack(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         )
         return EXIT_PACK_FAILED
     packing = result.packing
-    report = validate(packing.placements, tol=args.tol)
+    report = validate(packing.placements, DEFAULT_TOL)
     _write_text(args.out, format_document(packing, report))
     if args.svg is not None:
         _write_text(args.svg, format_svg(packing))
@@ -423,7 +424,6 @@ def _build_parser() -> _Parser:
     p.add_argument("input", help="instance file: one side length per line")
     p.add_argument("--out", required=True, help="packing document to write")
     p.add_argument("--svg", default=None, help="also render the packing as SVG")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="geometric tolerance")
     p.set_defaults(handler=cmd_pack)
 
     p = sub.add_parser("verify", help="re-validate a packing document")

@@ -25,10 +25,11 @@ if the circle refuses the flush spot, slides it by the minimal amount toward
 the horizontal diameter that makes it fit; the slide can only succeed in
 shelves whose band reaches the diameter.
 
-All placements carry a small admission tolerance (default 1e-9): corners may
-exceed the unit circle by at most tol, which the validator accepts.  This
-slack is essential at the critical instance, where corners land on the
-circle up to roundoff.
+All placements carry a fixed admission tolerance, DEFAULT_TOL = 1e-9:
+corners may exceed the unit circle by at most that much, which the
+validator accepts at its default.  This slack is essential at the critical
+instance, where corners land on the circle up to roundoff; without it the
+packer fails area-8/5 instances it must pack.
 """
 
 from __future__ import annotations
@@ -201,7 +202,6 @@ def refined_shelf_place(
     y_min: float,
     y_max: float,
     flush: float,
-    tol: float = DEFAULT_TOL,
 ) -> Optional[float]:
     """Bottom ordinate for a square of the given side and x-extent, as close
     to the flush ordinate as the disk and the structural bounds allow.
@@ -210,7 +210,7 @@ def refined_shelf_place(
     choosing the admissible ordinate nearest to flush realizes the minimal
     slide toward the diameter.  Returns None when no ordinate works."""
     xm = max(abs(x_lo), abs(x_hi))
-    r2 = (1.0 + tol) * (1.0 + tol) - xm * xm
+    r2 = (1.0 + DEFAULT_TOL) * (1.0 + DEFAULT_TOL) - xm * xm
     if r2 < 0.0:
         return None
     reach = math.sqrt(r2)
@@ -225,19 +225,17 @@ def shelf_pack(
     width: float,
     height: float,
     sides: Sequence[float],
-    tol: float = DEFAULT_TOL,
 ) -> "tuple[list[float], list[float], Optional[int]]":
     """Classic shelf packing of nonincreasing sides into a width x height
     rectangle anchored at (0, 0).
 
     Returns the lower-left x and y of the placed prefix as two lists and
     the index of the first side that did not fit (None if all fit).
-    Shelves run horizontally; each shelf's height is its first square.
-    tol must lie in [0, MAX_TOL]; anything else raises InputError."""
-    _check_tol(tol)
+    Shelves run horizontally; each shelf's height is its first square,
+    and the rectangle admits squares DEFAULT_TOL beyond it."""
     xs: "list[float]" = []
     ys: "list[float]" = []
-    x_max, y_max = width + tol, height + tol
+    x_max, y_max = width + DEFAULT_TOL, height + DEFAULT_TOL
     shelf_y = 0.0
     shelf_h = 0.0
     cursor = 0.0
@@ -266,19 +264,17 @@ class _Shelves:
     base in the given direction (+1 rightward, -1 leftward), and squares
     wider than cap are refused.  Only the open shelf is kept."""
 
-    def __init__(self, base: float, direction: int, floor: float, cap: float, tol: float) -> None:
+    def __init__(self, base: float, direction: int, floor: float, cap: float) -> None:
         self.base = base
         self.direction = direction
         self.cap = cap
-        self.tol = tol
         self.y0 = floor  # bottom of the open shelf
         self.ceiling = floor  # its top, where the next shelf opens
         self.reach = -math.inf  # largest side the open shelf takes; none is open yet
         self.frontier = base  # outer x edge of its run
 
     def try_place(self, side: float) -> Optional[Corner]:
-        tol = self.tol
-        if side > self.cap + tol:
+        if side > self.cap + DEFAULT_TOL:
             return None
         if side <= self.reach:
             # extend the open shelf's run
@@ -286,7 +282,7 @@ class _Shelves:
                 x_lo, x_hi = self.frontier, self.frontier + side
             else:
                 x_lo, x_hi = self.frontier - side, self.frontier
-            y = refined_shelf_place(side, x_lo, x_hi, self.y0, self.ceiling - side, self.y0, tol)
+            y = refined_shelf_place(side, x_lo, x_hi, self.y0, self.ceiling - side, self.y0)
             if y is not None:
                 self.frontier += self.direction * side
                 return x_lo, y
@@ -295,10 +291,10 @@ class _Shelves:
             x_lo, x_hi = self.base, self.base + side
         else:
             x_lo, x_hi = self.base - side, self.base
-        y = refined_shelf_place(side, x_lo, x_hi, floor, floor, floor, tol)
+        y = refined_shelf_place(side, x_lo, x_hi, floor, floor, floor)
         if y is None:
             return None
-        self.y0, self.ceiling, self.reach = floor, floor + side, side + tol
+        self.y0, self.ceiling, self.reach = floor, floor + side, side + DEFAULT_TOL
         self.frontier = self.base + self.direction * side
         return x_lo, y
 
@@ -314,14 +310,11 @@ class _Strips:
     kept.  A subcontainer is a band as tall as its first square; a pocket in
     strip mode is the band [pocket floor, inf], supported at its floor."""
 
-    def __init__(
-        self, base: float, direction: int, bottom: float, top: float, cap: float, tol: float
-    ) -> None:
+    def __init__(self, base: float, direction: int, bottom: float, top: float, cap: float) -> None:
         self.direction = direction
         self.bottom = bottom
         self.top = top
         self.cap = cap
-        self.tol = tol
         self.support_top = abs(top) <= abs(bottom)
         self.base = base  # inner x edge of the open strip
         self.edge = base  # its outer x edge, where the next strip opens
@@ -331,8 +324,7 @@ class _Strips:
         self.cursor = 0.0
 
     def try_place(self, side: float) -> Optional[Corner]:
-        tol = self.tol
-        if side > self.cap + tol:
+        if side > self.cap + DEFAULT_TOL:
             return None
         # stack on the open strip when it is wide enough; otherwise, or when
         # the circle refuses, open the next strip flush with the support cut
@@ -344,19 +336,20 @@ class _Strips:
                 x_lo, x_hi = base - side, base
             if self.support_top:
                 flush = (self.top if opening else self.cursor) - side
-                y = refined_shelf_place(side, x_lo, x_hi, self.bottom, flush, flush, tol)
+                y = refined_shelf_place(side, x_lo, x_hi, self.bottom, flush, flush)
             else:
                 flush = self.bottom if opening else self.cursor
-                y = refined_shelf_place(side, x_lo, x_hi, flush, self.top - side, flush, tol)
+                y = refined_shelf_place(side, x_lo, x_hi, flush, self.top - side, flush)
             if y is not None:
                 if opening:
-                    self.base, self.edge, self.reach = base, base + self.direction * side, side + tol
+                    self.base, self.edge = base, base + self.direction * side
+                    self.reach = side + DEFAULT_TOL
                 self.cursor = y if self.support_top else y + side
                 return x_lo, y
         return None
 
 
-def _pocket(geo: PocketGeometry, direction: int, tol: float) -> "Union[_Shelves, _Strips]":
+def _pocket(geo: PocketGeometry, direction: int) -> "Union[_Shelves, _Strips]":
     """The pocket beside the top square on the left (direction -1) or the
     right (+1).  Its shelves run parallel to the shorter straight boundary:
     horizontally, stacked up from the pocket floor, when bx <= by, and
@@ -365,8 +358,8 @@ def _pocket(geo: PocketGeometry, direction: int, tol: float) -> "Union[_Shelves,
     explicit."""
     base = direction * geo.s1 / 2
     if geo.bx <= geo.by:
-        return _Shelves(base, direction, geo.bottom_y, geo.sigma, tol)
-    return _Strips(base, direction, geo.bottom_y, math.inf, geo.sigma, tol)
+        return _Shelves(base, direction, geo.bottom_y, geo.sigma)
+    return _Strips(base, direction, geo.bottom_y, math.inf, geo.sigma)
 
 
 def _chord(y_t: float, h: float) -> float:
@@ -415,13 +408,12 @@ def _shelved(
     box: float,
     origin: np.ndarray,
     case: str,
-    tol: float,
 ) -> PackResult:
     """The four largest squares at the lower-left corners `head` (an x and a
     y row, a column per square in filling order), the rest shelf packed into
     a box x box square whose lower-left corner is the column `origin`."""
     rest = order[4:]
-    px, py, fail = shelf_pack(box, box, side[rest].tolist(), tol)
+    px, py, fail = shelf_pack(box, box, side[rest].tolist())
     if fail is not None:
         return _failed(inst, int(rest[fail]))
     xy = np.empty((2, len(side)))
@@ -429,30 +421,27 @@ def _shelved(
     return _packed(case, inst, xy[0], xy[1], side)
 
 
-def pack_c1(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
+def pack_c1(sides: Union[Instance, Sequence[float]]) -> PackResult:
     """Concentric container of side 1.388 plus four side pockets; requires
     every side at most 0.295."""
-    _check_tol(tol)
     inst = _instance(sides)
     side, order = _by_size(inst)
     head = _C1_POCKETS[:, : len(order)]
-    return _shelved(inst, side, order, head, _C1_CONTAINER, _C1_ORIGIN, "C1", tol)
+    return _shelved(inst, side, order, head, _C1_CONTAINER, _C1_ORIGIN, "C1")
 
 
-def pack_c2(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
+def pack_c2(sides: Union[Instance, Sequence[float]]) -> PackResult:
     """Four largest squares into the quadrants of the inscribed square, the
     rest shelf packed into a container of side sqrt(2)/5 on top of it."""
-    _check_tol(tol)
     inst = _instance(sides)
     side, order = _by_size(inst)
     s = side[order[:4]]
     head = _C2_QUADRANTS[:, : len(s)] * s
-    return _shelved(inst, side, order, head, _C2_BOX, _C2_ORIGIN, "C2", tol)
+    return _shelved(inst, side, order, head, _C2_BOX, _C2_ORIGIN, "C2")
 
 
-def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
+def pack_c3(sides: Union[Instance, Sequence[float]]) -> PackResult:
     """Topmost square plus pocket and subcontainer packing."""
-    _check_tol(tol)
     inst = _instance(sides)
     side, by_size = _by_size(inst)
     order = by_size.tolist()
@@ -460,7 +449,7 @@ def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
     if s1 > SQRT2 + 1e-12:
         return _failed(inst, order[0])
     geo = pocket_geometry(s1)
-    left, right = _pocket(geo, -1, tol), _pocket(geo, +1, tol)
+    left, right = _pocket(geo, -1), _pocket(geo, +1)
     subcontainers: "list[_Strips]" = []  # stacked downward from the top square
     x, y = [0.0] * len(order), [0.0] * len(order)
     x[order[0]], y[order[0]] = -s1 / 2, geo.t_inv
@@ -473,8 +462,8 @@ def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
             # slice a subcontainer as tall as s below the last one
             top = subcontainers[-1].bottom if subcontainers else geo.t_inv
             width = _chord(top, s)
-            if top - s >= -1.0 - tol and width >= s - tol:
-                sub = _Strips(-width / 2, +1, top - s, top, s, tol)
+            if top - s >= -1.0 - DEFAULT_TOL and width >= s - DEFAULT_TOL:
+                sub = _Strips(-width / 2, +1, top - s, top, s)
                 corner = sub.try_place(s)
                 if corner is not None:
                     subcontainers.append(sub)
@@ -484,21 +473,18 @@ def pack_c3(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -
     return _packed("C3", inst, x, y, side)
 
 
-def pack(sides: Union[Instance, Sequence[float]], tol: float = DEFAULT_TOL) -> PackResult:
+def pack(sides: Union[Instance, Sequence[float]]) -> PackResult:
     """Pack squares into the unit disk; guaranteed to succeed when the total
-    area is at most 8/5.  Placements are returned in input order.  tol must
-    lie in [0, MAX_TOL] here, in pack_c1/2/3, shelf_pack and validate;
-    anything else (NaN included) raises InputError."""
-    _check_tol(tol)
+    area is at most 8/5.  Placements are returned in input order."""
     inst = _instance(sides)
     if not inst.sides:
         return PackResult(True, Packing((), (), (), "C3", 0.0), None, None)
     top = heapq.nlargest(4, inst.sides)
     if top[0] <= _C1_POCKET:
-        return pack_c1(inst, tol)
+        return pack_c1(inst)
     if top[0] <= _C2_MAX_S1 and sum(s ** 2 for s in top) >= _C2_TOP4_AREA:
-        return pack_c2(inst, tol)
-    return pack_c3(inst, tol)
+        return pack_c2(inst)
+    return pack_c3(inst)
 
 
 @dataclass(frozen=True)
@@ -865,7 +851,12 @@ def gen_random(seed: int, n: int, target_area: float, dist: str = "uniform") -> 
             u = rng.random()
             while u == 0.0:
                 u = rng.random()
-            sides.append({"uniform": u, "powerlaw": u**4, "equal": 1.0}[dist])
+            sides.append(u)
+        # 'equal' draws every u too: the shuffle below must see the same stream
+        if dist == "powerlaw":
+            sides = [u**4 for u in sides]
+        elif dist == "equal":
+            sides = [1.0] * n
         factor = math.sqrt(target_area / sum(s * s for s in sides))
         sides = [s * factor for s in sides]
     # absorb the scaling roundoff into the last square

@@ -25,13 +25,13 @@ import math
 
 from .. import bounds
 from ..geometry import CONSTANTS, T_inv, chord_width, ell1, sigma, z_below
-from ..packer import _C2_MAX_S1, _C2_TOP4_AREA
+from ..packer import _C1_POCKET, _C2_MAX_S1, _C2_TOP4_AREA
 from ..scalars import square
 from .engine import ConstraintSystem, OrRelation, Relation, Variable
 
 # Box endpoints are nudged outward so every verified box strictly contains
-# the stated real range.
-_S1_LO = math.nextafter(0.295, 0.0)
+# the stated real range: s1 from the packer's C1 threshold to sqrt(8/5).
+_S1_LO = math.nextafter(_C1_POCKET, 0.0)
 _S1_HI = math.nextafter(math.sqrt(8.0 / 5.0), 2.0)
 
 # float(8/5) = 1.6 lies above the real 8/5, so certifying a value > 1.6
@@ -132,9 +132,7 @@ def _sc_system(k: int, sn_above_pocket: bool) -> ConstraintSystem:
 
     def concl_fn(env: dict):
         heights = [env[n] for n in hnames]
-        return bounds.F_SC(
-            k, env["s1"], heights, env["sn"], include_E=not sn_above_pocket
-        )
+        return bounds.F_SC(env["s1"], heights, env["sn"], include_E=not sn_above_pocket)
 
     return ConstraintSystem(
         name=f"LEMMA_SC{k}_SIGMA" if sn_above_pocket else f"LEMMA_SC{k}",

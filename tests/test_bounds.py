@@ -207,11 +207,9 @@ class TestFTP:
 class TestFSC:
     def test_arity_contract(self):
         with pytest.raises(ContractError):
-            F_SC(0, 1.0, [], 0.1)
+            F_SC(1.0, [], 0.1)
         with pytest.raises(ContractError):
-            F_SC(2, 1.0, [0.5, 0.4, 0.3], 0.1)
-        with pytest.raises(ContractError):
-            F_SC(8, 1.0, [0.1] * 8, 0.05)
+            F_SC(1.0, [0.1] * 8, 0.05)
 
     def test_pocket_credit_only_adds(self):
         s = hypothesis_samples(_system("LEMMA_SC2"), 50, seed=3)
@@ -221,15 +219,15 @@ class TestFSC:
                 [float(s["h1"][i]), float(s["h2"][i])],
                 float(s["sn"][i]),
             )
-            with_e = F_SC(2, args[0], args[1], args[2], include_E=True)
-            without = F_SC(2, args[0], args[1], args[2], include_E=False)
+            with_e = F_SC(*args, include_E=True)
+            without = F_SC(*args, include_E=False)
             assert with_e >= without - 1e-15
 
     def test_exceeds_critical_area_at_sampled_states(self):
         for name, k in [("LEMMA_SC1", 1), ("LEMMA_SC3", 3)]:
             s = hypothesis_samples(_system(name), 200, seed=5)
             heights = [s[f"h{i + 1}"] for i in range(k)]
-            vals = F_SC(k, s["s1"], heights, s["sn"])
+            vals = F_SC(s["s1"], heights, s["sn"])
             assert np.all(vals > 1.6)
 
 
@@ -244,9 +242,8 @@ class TestKindCoherence:
         include_e = not name.endswith("_SIGMA")
         s = hypothesis_samples(system, 25, seed=9)
         pts = np.arange(25)
-        f = F_SC(k, s["s1"], [s[f"h{i+1}"] for i in range(k)], s["sn"], include_e)
+        f = F_SC(s["s1"], [s[f"h{i+1}"] for i in range(k)], s["sn"], include_e)
         ia = F_SC(
-            k,
             IntervalArray.from_point(s["s1"]),
             [IntervalArray.from_point(s[f"h{i+1}"]) for i in range(k)],
             IntervalArray.from_point(s["sn"]),
@@ -255,7 +252,6 @@ class TestKindCoherence:
         assert np.all(ia.lo <= f) and np.all(f <= ia.hi)
         for i in pts[:8]:
             iv = F_SC(
-                k,
                 _point(float(s["s1"][i])),
                 [_point(float(s[f"h{i2+1}"][i])) for i2 in range(k)],
                 _point(float(s["sn"][i])),

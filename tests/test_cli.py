@@ -186,9 +186,10 @@ class TestPackVerifyFlow:
         assert main(["verify", str(doc), f"--tol={tol}"]) == EXIT_INPUT
         assert "tol must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "1e-5", "1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "1e-5", "1", "1e-9"])
     def test_pack_writes_nothing_under_meaningless_tol(self, tmp_path, tol):
-        # pack refuses the tol before placing anything
+        # pack admits squares at the fixed DEFAULT_TOL and takes no --tol, not
+        # even the default's value: any is a usage error, raised before placing
         inst = tmp_path / "inst.txt"
         inst.write_text("0.5\n0.5\n")
         out = tmp_path / "out.txt"
@@ -198,7 +199,7 @@ class TestPackVerifyFlow:
     def test_pack_never_exits_ok_on_a_packing_it_rejects(self, tmp_path, monkeypatch, capsys):
         p = PlacedSquare(-0.25, -0.25, 0.5)
         overlapping = PackResult(True, Packing.from_placements((p, p), "C3", 0.5), None, None)
-        monkeypatch.setattr(cli, "pack", lambda inst, tol: overlapping)
+        monkeypatch.setattr(cli, "pack", lambda inst: overlapping)
         inst = tmp_path / "inst.txt"
         inst.write_text("0.5\n0.5\n")
         out = tmp_path / "out.txt"
