@@ -599,7 +599,7 @@ def _overlap_pairs(
         ranked = np.sort(height)[::-1].tolist()
         k = _tallest(ranked)
         tall = height > ranked[k]
-        budget = _grid_budget(len(live), math.nextafter(ranked[k], math.inf) / ranked[len(ranked) // 2])
+        budget = _grid_budget(len(live), ranked[k] / ranked[len(ranked) // 2])
         if budget:
             large, rest = live[tall], live[~tall]
             # cells as wide as the widest rounded x2 - x and as tall as the
@@ -618,10 +618,8 @@ def _overlap_pairs(
         ranked = sorted(height, reverse=True)
         k = _tallest(ranked)
         large = {i for i, h in zip(live, height) if h > ranked[k]}
-    # ranked[k] is the largest rounded y2 - y outside `large`; one step up
-    # covers the exact differences
-    window = math.nextafter(ranked[k], math.inf)
-    return sorted(_sweep_pairs(*cols, tt, live, large, window))
+    # ranked[k] is the largest rounded y2 - y outside `large`
+    return sorted(_sweep_pairs(*cols, tt, live, large, ranked[k]))
 
 
 def _tallest(ranked: "list[float]") -> int:
@@ -651,7 +649,18 @@ def _sweep_pairs(
     """_overlap_pairs by a sweep over x, in no particular order.
 
     An insert scans the active squares whose bottom lies within `window`
-    below its own, and every active square of `large`."""
+    below its own, and every active square of `large`.  `window` is at
+    least every rounded height d = fl(yj2 - yj) outside `large`, and the
+    rounded bound fl(yi - window) is never above an overlapping bottom yj.
+
+    An overlapping j has yj2 > yi, so yi <= yj2 - g, where g is the gap from
+    yj2 down to the next double.  With yj2 = fl(yj + sj), the exact height
+    e = yj2 - yj differs from the double sj by the sum's rounding error: at
+    most g / 2 if the sum rounded up to yj2, else half the gap above yj2,
+    which is at most 2 g.  d is the double nearest e, so e - d <= |e - sj|
+    <= g.  Hence yi - d <= yj2 - g - d = yj + (e - d) - g <= yj, and
+    rounding is monotone, so fl(yi - window) <= fl(yi - d) <= yj.  The
+    window needs no rounding up, and one ulp less misses pairs."""
     # a square is active from its left edge to its right edge; event e < m
     # removes live[e], any other adds live[e - m], and the stable sort fires
     # removals before additions at one abscissa
@@ -675,9 +684,7 @@ def _sweep_pairs(
             continue
         i = live[e - m]
         xi, yi, xi2, yi2 = xs[i], ys[i], x2s[i], y2s[i]
-        # an overlapping j has yi2 > yj > yi - (yj2 - yj) >= yi - window;
-        # nextafter keeps the rounded bound at or below the exact one
-        lo = bisect_left(act_y, math.nextafter(yi - window, -math.inf))
+        lo = bisect_left(act_y, yi - window)
         for j in big + act_i[lo : bisect_left(act_y, yi2)]:
             # an active j already meets i's open x-extent; its open y-extent
             # must meet i's too before the exact test can hold

@@ -9,9 +9,10 @@ per proof from the variable box alone: the widest root width after the
 halvings above d, the first variable on ties.  The schedule ends at
 max_depth or once every width is at most min_width; boxes still undecided
 at its end are reported (the statement is then not established at this
-resolution).  When the conclusion certainly fails somewhere, midpoints are
-tried as counterexamples; only one confirmed in plain float arithmetic
-disproves the statement.
+resolution).  The midpoints of boxes where the conclusion certainly fails,
+and of boxes left at the schedule's end, are tried in order as
+counterexamples; only one confirmed in plain float arithmetic disproves the
+statement.
 
 Boxes are processed in chunks of same-depth boxes stored as two lane-major
 arrays, so every formula evaluates vectorized across lanes; the chunking
@@ -24,8 +25,8 @@ in the same pass.
 
 All expression callbacks receive an environment dict and must be written
 against the kind-generic scalar helpers, so the same callback serves the
-interval sweep (IntervalArray), the midpoint hunt (numpy arrays) and
-single-point confirmation (floats).
+interval sweep (IntervalArray) and the counterexample check at a midpoint
+(floats).
 """
 
 from __future__ import annotations
@@ -186,25 +187,6 @@ def _compact_env(env: dict, keep: np.ndarray) -> dict:
     }
 
 
-def _real_counterexample(
-    system: ConstraintSystem, mids: np.ndarray
-) -> Optional["dict[str, float]"]:
-    """The first point confirm_counterexample accepts among those a NumPy
-    prefilter (which lets NaN values through) finds violating."""
-    with np.errstate(all="ignore"):
-        env = {v.name: mids[:, j] for j, v in enumerate(system.variables)}
-        env = _prepared(system, env)
-        ok = np.ones(mids.shape[0], dtype=bool)
-        for rel in system.hypotheses:
-            ok &= np.asarray(rel.holds(env), dtype=bool)
-        bad = ok & ~np.asarray(system.conclusion.holds(env), dtype=bool)
-    for k in np.flatnonzero(bad):
-        point = {v.name: float(mids[k, j]) for j, v in enumerate(system.variables)}
-        if confirm_counterexample(system, point):
-            return point
-    return None
-
-
 def confirm_counterexample(system: ConstraintSystem, point: "dict[str, float]") -> bool:
     """True iff the real point satisfies every hypothesis and violates the
     conclusion (domain errors and float division by zero or overflow count
@@ -238,6 +220,7 @@ def _split_schedule(system: ConstraintSystem, config: ProverConfig) -> "list[int
 
 
 def _search(system: ConstraintSystem, split: "list[int]") -> ProofResult:
+    names = [v.name for v in system.variables]
     lo0 = np.array([[v.lo for v in system.variables]], dtype=float)
     hi0 = np.array([[v.hi for v in system.variables]], dtype=float)
     stats = ProofStats()
@@ -290,10 +273,10 @@ def _search(system: ConstraintSystem, split: "list[int]") -> ProofResult:
         is_leaf = depth >= len(split)
 
         cand = np.arange(sidx.size) if is_leaf else np.flatnonzero(concl_cf[sidx])
-        if cand.size:
-            cex = _real_counterexample(system, 0.5 * (LOs[cand] + HIs[cand]))
-            if cex is not None:
-                return ProofResult(system.name, ProofStatus.DISPROVED, stats, cex)
+        for mid in (0.5 * (LOs[cand] + HIs[cand])).tolist():
+            point = dict(zip(names, mid))
+            if confirm_counterexample(system, point):
+                return ProofResult(system.name, ProofStatus.DISPROVED, stats, point)
 
         if is_leaf:
             stats.undecided_count += sidx.size
@@ -305,15 +288,14 @@ def _search(system: ConstraintSystem, split: "list[int]") -> ProofResult:
                 )
             continue
 
+        # the lower halves, then the upper halves
         j = split[depth]
         mid = LOs[:, j] + 0.5 * (HIs[:, j] - LOs[:, j])
-        hi_a = HIs.copy()
-        hi_a[:, j] = mid
-        lo_b = LOs.copy()
-        lo_b[:, j] = mid
-        children_lo = np.concatenate([LOs, lo_b])
-        children_hi = np.concatenate([hi_a, HIs])
+        children_lo = np.concatenate([LOs, LOs])
+        children_hi = np.concatenate([HIs, HIs])
         n_children = children_lo.shape[0]
+        children_hi[: sidx.size, j] = mid
+        children_lo[sidx.size :, j] = mid
         for start in range(0, n_children, CHUNK_LANES):
             end = min(start + CHUNK_LANES, n_children)
             stack.append((depth + 1, children_lo[start:end], children_hi[start:end]))

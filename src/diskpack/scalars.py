@@ -1,8 +1,9 @@
 """Kind-generic numeric helpers.
 
 The geometric formulas are written once and evaluated over three operand
-kinds: Python floats (the packing path), numpy float arrays (bulk real
-sampling), and IntervalArray lanes (the prover's enclosures).  The helpers
+kinds: Python floats (the packing path and the prover's counterexample
+check), numpy float arrays (the tests' real-valued reference sampling and
+fuzz), and IntervalArray lanes (the prover's enclosures).  The helpers
 here dispatch on the operand kind so a formula body stays plain arithmetic
 plus sqrt/acos/min/max and an occasional two-way branch.
 

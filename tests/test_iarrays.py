@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from diskpack import iarrays
 from diskpack.iarrays import IntervalArray, _down, _up
 
 from fuzzers import interval_containment_fuzz
@@ -354,6 +355,60 @@ class TestContainmentFuzz:
     def test_reseeded_runs_stay_clean(self, seed):
         _, violations = interval_containment_fuzz(seed=seed, lanes=2000)
         assert violations == 0
+
+
+def _unrounded(name, ends=("_down", "_up")):
+    """A mutant: IntervalArray.<name> with the outward roundings `ends`
+    made identities while it runs."""
+
+    def apply(monkeypatch):
+        method = getattr(IntervalArray, name)
+
+        def mutant(self, *args):
+            with pytest.MonkeyPatch.context() as mp:
+                for end in ends:
+                    mp.setattr(iarrays, end, lambda a: a)
+                return method(self, *args)
+
+        monkeypatch.setattr(IntervalArray, name, mutant)
+
+    return apply
+
+
+class TestRoundingMutants:
+    """Each mutant of the outward rounding must make criterion 6's fuzz, at
+    one seed, report violations (a count, not an exception); the unmutated
+    code reports none."""
+
+    @staticmethod
+    def _violations():
+        return interval_containment_fuzz(seed=20260825, lanes=12_000)[1]
+
+    def test_unmutated_is_clean(self):
+        assert self._violations() == 0
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            lambda mp: mp.setattr(iarrays, "_OUT_ABS", 0.0),
+            lambda mp: mp.setattr(iarrays, "_OUT_REL", 0.0),
+            lambda mp: mp.setattr(iarrays, "_ACOS_SLOP", 0),
+            _unrounded("sqrt"),
+            _unrounded("__truediv__"),
+            _unrounded("square", ("_up",)),
+        ],
+        ids=[
+            "no-absolute-margin",
+            "no-relative-margin",
+            "no-acos-slop",
+            "sqrt-unrounded",
+            "division-unrounded",
+            "square-upper-end-unrounded",
+        ],
+    )
+    def test_mutant_is_caught(self, monkeypatch, mutant):
+        mutant(monkeypatch)
+        assert self._violations() > 0
 
 
 class TestExactSoundness:
