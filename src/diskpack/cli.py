@@ -33,6 +33,7 @@ the SVG rectangles reuse the document's exact digit strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -315,6 +316,7 @@ def _result_row(result: ProofResult) -> "dict[str, object]":
         "max_depth_reached": result.stats.max_depth_reached,
         "undecided_count": result.stats.undecided_count,
         "peak_lanes": result.stats.peak_lanes,
+        "boxes_emptied": result.stats.boxes_emptied,
         "wall_time_s": result.stats.wall_time_s,
     }
     if result.counterexample is not None:
@@ -416,7 +418,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and reused by every later main()
+    in the process."""
     parser = _Parser(prog="diskpack", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

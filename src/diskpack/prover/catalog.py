@@ -14,9 +14,11 @@ families.
   pocket, the accounting splits on where the third subcontainer ends:
   F_MSC1 covers a bottom at or below the center, F_MSC2 a bottom above it.
 
-Hypotheses that only order raw variables are labelled cheap.  The engine
-ignores the label: it evaluates every hypothesis, in the order given, in
-one pass after prepare().
+Hypotheses that order two raw variables are declared with
+engine.ordering(), so the engine contracts every box by them before it
+evaluates anything; they are also labelled cheap, a label the engine
+ignores.  The engine then evaluates every hypothesis, in the order given,
+in one pass after prepare().
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .. import bounds
 from ..geometry import CONSTANTS, T_inv, chord_width, ell1, sigma, z_below
 from ..packer import _C1_POCKET, _C2_MAX_S1, _C2_TOP4_AREA
 from ..scalars import square
-from .engine import ConstraintSystem, OrRelation, Relation, Variable
+from .engine import ConstraintSystem, OrRelation, Relation, Variable, ordering
 
 # Box endpoints are nudged outward so every verified box strictly contains
 # the stated real range: s1 from the packer's C1 threshold to sqrt(8/5).
@@ -50,18 +52,8 @@ def _height_cap(i: int) -> float:
 
 
 def _chain(*names: str) -> "list[Relation]":
-    """Hypotheses names[0] >= names[1] >= ... on raw variables, labelled
-    cheap."""
-    return [
-        Relation(
-            f"{small} <= {big}",
-            lambda e, a=small, b=big: e[a] - e[b],
-            "<=",
-            0.0,
-            cheap=True,
-        )
-        for big, small in zip(names, names[1:])
-    ]
+    """Hypotheses names[0] >= names[1] >= ..., declared for contraction."""
+    return [ordering(small, big) for big, small in zip(names, names[1:])]
 
 
 def _tp_system(which: int) -> ConstraintSystem:
@@ -189,11 +181,7 @@ def _msc_pos_system() -> ConstraintSystem:
         Variable("delta_y", 0.0, 0.232),
     )
     hyps: "list[object]" = _chain("s1", "h1", "h2", "h3", "h_jnext")
-    hyps.append(
-        Relation(
-            "delta_y <= h3", lambda e: e["delta_y"] - e["h3"], "<=", 0.0, cheap=True
-        )
-    )
+    hyps.append(ordering("delta_y", "h3"))
 
     def prep(env: dict) -> dict:
         e = dict(env)

@@ -4,24 +4,33 @@ A ConstraintSystem states: for all variable values in the given ranges that
 satisfy every hypothesis, the conclusion holds.  prove() explores the range
 box with interval arithmetic: a sub-box is discarded when some hypothesis
 certainly fails on it or the conclusion certainly holds on it; otherwise it
-is bisected.  Every box at depth d is bisected across split[d], fixed once
-per proof from the variable box alone: the widest root width after the
-halvings above d, the first variable on ties.  The schedule ends at
-max_depth or once every width is at most min_width; boxes still undecided
-at its end are reported (the statement is then not established at this
-resolution).  The midpoints of boxes where the conclusion certainly fails,
-and of boxes left at the schedule's end, are tried in order as
-counterexamples; only one confirmed in plain float arithmetic disproves the
-statement.
+is bisected.
+
+Before anything is evaluated on a box, the box is contracted by the
+hypotheses that order two raw variables (declared with ordering()): for
+small <= big, hi[small] drops to hi[big] and lo[big] rises to lo[small].
+Contraction takes the min or max of existing doubles, so nothing is
+rounded, and it removes only points that violate a hypothesis; a box left
+with lo > hi on some variable holds no such point and is pruned.  The upper
+ends are narrowed in declaration order and the lower ends in reverse, so
+one pass reaches the fixpoint of a chain declared from its largest
+variable down.  Each surviving box is then bisected across its own widest
+current width, the first variable on ties; it is a leaf at max_depth or
+once no width exceeds min_width, and leaves still undecided are reported
+(the statement is then not established at this resolution).  The midpoints
+of boxes where the conclusion certainly fails, and of leaves, are tried in
+order as counterexamples; only one confirmed in plain float arithmetic
+disproves the statement.
 
 Boxes are processed in chunks of same-depth boxes stored as two lane-major
-arrays, so every formula evaluates vectorized across lanes; the chunking
-changes the speed of a proof, not its tree.  Each chunk gets one pass:
-prepare() builds the derived quantities, every hypothesis is evaluated in
-order, and the surviving lanes are compacted once before the conclusion,
-the expensive formula, runs on them.  A lane that leaves prepare()'s domain
-is poisoned, not raised on, so a hypothesis on raw variables still prunes it
-in the same pass.
+arrays, so every formula evaluates vectorized across lanes.  Every step
+reads one box alone, so the tree depends only on the system and the
+ProverConfig: the chunking changes the speed of a proof, not its tree.
+Each chunk gets one pass: contraction, then prepare() builds the derived
+quantities, every hypothesis is evaluated in order, and the surviving lanes
+are compacted once before the conclusion, the expensive formula, runs on
+them.  A lane that leaves prepare()'s domain is poisoned, not raised on, so
+a hypothesis on raw variables still prunes it in the same pass.
 
 All expression callbacks receive an environment dict and must be written
 against the kind-generic scalar helpers, so the same callback serves the
@@ -70,13 +79,17 @@ _OPS = {
 class Relation:
     """`fn(env) op bound`, evaluated on intervals (certainty masks) or on
     real points (plain booleans).  `cheap` labels a relation on raw
-    variables only; the engine ignores it."""
+    variables only; the engine ignores it.  `ordered` is (small, big) on a
+    hypothesis small <= big between two raw variables, which the engine
+    contracts every box by; set it only through ordering(), which builds
+    `fn` to match."""
 
     label: str
     fn: Callable[[dict], object]
     op: str
     bound: float = 0.0
     cheap: bool = False
+    ordered: Optional["tuple[str, str]"] = None
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
@@ -119,6 +132,19 @@ class OrRelation:
 Hypothesis = Union[Relation, OrRelation]
 
 
+def ordering(small: str, big: str) -> Relation:
+    """The hypothesis small <= big on two raw variables, labelled cheap and
+    declared for contraction."""
+    return Relation(
+        f"{small} <= {big}",
+        lambda e: e[small] - e[big],
+        "<=",
+        0.0,
+        cheap=True,
+        ordered=(small, big),
+    )
+
+
 # Most lanes one chunk holds, and how many undecided boxes end a search
 # early as UNDECIDED.
 CHUNK_LANES = 8192
@@ -145,6 +171,7 @@ class ProofStats:
     undecided_count: int = 0
     peak_lanes: int = 0
     wall_time_s: float = 0.0
+    boxes_emptied: int = 0  # pruned by contraction alone; in boxes_pruned too
 
 
 @dataclass(frozen=True)
@@ -208,19 +235,39 @@ def _box_dict(system: ConstraintSystem, lo: np.ndarray, hi: np.ndarray) -> dict:
     }
 
 
-def _split_schedule(system: ConstraintSystem, config: ProverConfig) -> "list[int]":
-    """split[d] is the variable every box at depth d is bisected across."""
-    widths = np.array([v.hi - v.lo for v in system.variables], dtype=float)
-    split: "list[int]" = []
-    while len(split) < config.max_depth and np.any(widths > config.min_width):
-        j = int(np.argmax(widths))
-        split.append(j)
-        widths[j] *= 0.5
-    return split
+def _centre(lo, hi):
+    """The midpoint of [lo, hi] in floats: where a box is bisected and where
+    it is tried as a counterexample."""
+    return lo + 0.5 * (hi - lo)
 
 
-def _search(system: ConstraintSystem, split: "list[int]") -> ProofResult:
+def _orderings(system: ConstraintSystem) -> "list[tuple[int, int]]":
+    """(small, big) column pairs of the hypotheses declared by ordering()."""
+    col = {v.name: j for j, v in enumerate(system.variables)}
+    pairs = []
+    for rel in system.hypotheses:
+        if isinstance(rel, Relation) and rel.ordered is not None:
+            unknown = [n for n in rel.ordered if n not in col]
+            if unknown:
+                raise ContractError(f"relation {rel.label!r}: no variable {unknown[0]!r}")
+            pairs.append((col[rel.ordered[0]], col[rel.ordered[1]]))
+    return pairs
+
+
+def _contract(LO: np.ndarray, HI: np.ndarray, pairs: "list[tuple[int, int]]") -> np.ndarray:
+    """Narrow the boxes in place by small <= big for every pair: upper ends
+    in declaration order, lower ends in reverse.  Returns the mask of boxes
+    left nonempty."""
+    for s, b in pairs:
+        np.minimum(HI[:, s], HI[:, b], out=HI[:, s])
+    for s, b in reversed(pairs):
+        np.maximum(LO[:, b], LO[:, s], out=LO[:, b])
+    return np.all(LO <= HI, axis=1)
+
+
+def _search(system: ConstraintSystem, config: ProverConfig) -> ProofResult:
     names = [v.name for v in system.variables]
+    pairs = _orderings(system)
     lo0 = np.array([[v.lo for v in system.variables]], dtype=float)
     hi0 = np.array([[v.hi for v in system.variables]], dtype=float)
     stats = ProofStats()
@@ -230,7 +277,7 @@ def _search(system: ConstraintSystem, split: "list[int]") -> ProofResult:
 
     while stack:
         depth, LO, HI = stack.pop()
-        # Same-depth boxes split across the same variable, so merging
+        # Each box's fate reads that box and its depth alone, so merging
         # trailing same-depth chunks only keeps the lanes vectorized.
         if stack and stack[-1][0] == depth and LO.shape[0] < CHUNK_LANES:
             group = [LO]
@@ -248,6 +295,14 @@ def _search(system: ConstraintSystem, split: "list[int]") -> ProofResult:
         lanes_resident -= lanes
         stats.boxes_explored += lanes
         stats.max_depth_reached = max(stats.max_depth_reached, depth)
+
+        kept = np.flatnonzero(_contract(LO, HI, pairs))
+        if kept.size < lanes:
+            stats.boxes_emptied += lanes - kept.size
+            stats.boxes_pruned += lanes - kept.size
+            if kept.size == 0:
+                continue
+            LO, HI, lanes = LO[kept], HI[kept], kept.size
 
         env = _prepared(system, _env_from(system, LO, HI))
         alive = np.ones(lanes, dtype=bool)
@@ -270,34 +325,41 @@ def _search(system: ConstraintSystem, split: "list[int]") -> ProofResult:
             continue
         LOs, HIs = LO[sidx], HI[sidx]
 
-        is_leaf = depth >= len(split)
+        widths = HIs - LOs
+        leaf = (depth >= config.max_depth) | ~np.any(widths > config.min_width, axis=1)
 
-        cand = np.arange(sidx.size) if is_leaf else np.flatnonzero(concl_cf[sidx])
-        for mid in (0.5 * (LOs[cand] + HIs[cand])).tolist():
+        cand = np.flatnonzero(leaf | concl_cf[sidx])
+        for mid in _centre(LOs[cand], HIs[cand]).tolist():
             point = dict(zip(names, mid))
             if confirm_counterexample(system, point):
                 return ProofResult(system.name, ProofStatus.DISPROVED, stats, point)
 
-        if is_leaf:
-            stats.undecided_count += sidx.size
-            for k in range(min(sidx.size, 8 - len(undecided))):
+        lidx = np.flatnonzero(leaf)
+        if lidx.size:
+            stats.undecided_count += lidx.size
+            for k in lidx[: max(0, 8 - len(undecided))]:
                 undecided.append(_box_dict(system, LOs[k], HIs[k]))
             if stats.undecided_count > UNDECIDED_CAP:
                 return ProofResult(
                     system.name, ProofStatus.UNDECIDED, stats, None, tuple(undecided)
                 )
-            continue
+            if lidx.size == sidx.size:
+                continue
+            split = np.flatnonzero(~leaf)
+            LOs, HIs, widths = LOs[split], HIs[split], widths[split]
 
-        # the lower halves, then the upper halves
-        j = split[depth]
-        mid = LOs[:, j] + 0.5 * (HIs[:, j] - LOs[:, j])
+        # the lower halves, then the upper halves, each across its box's
+        # widest side (argmax takes the first variable on ties)
+        n = LOs.shape[0]
+        rows = np.arange(n)
+        j = np.argmax(widths, axis=1)
+        mid = _centre(LOs[rows, j], HIs[rows, j])
         children_lo = np.concatenate([LOs, LOs])
         children_hi = np.concatenate([HIs, HIs])
-        n_children = children_lo.shape[0]
-        children_hi[: sidx.size, j] = mid
-        children_lo[sidx.size :, j] = mid
-        for start in range(0, n_children, CHUNK_LANES):
-            end = min(start + CHUNK_LANES, n_children)
+        children_hi[rows, j] = mid
+        children_lo[rows + n, j] = mid
+        for start in range(0, 2 * n, CHUNK_LANES):
+            end = min(start + CHUNK_LANES, 2 * n)
             stack.append((depth + 1, children_lo[start:end], children_hi[start:end]))
             lanes_resident += end - start
         stats.peak_lanes = max(stats.peak_lanes, lanes_resident)
@@ -309,6 +371,6 @@ def _search(system: ConstraintSystem, split: "list[int]") -> ProofResult:
 def prove(system: ConstraintSystem, config: Optional[ProverConfig] = None) -> ProofResult:
     """Run the branch-and-prune search at `config`, else at ProverConfig()."""
     t0 = time.perf_counter()
-    result = _search(system, _split_schedule(system, config or ProverConfig()))
+    result = _search(system, config or ProverConfig())
     result.stats.wall_time_s = time.perf_counter() - t0
     return result

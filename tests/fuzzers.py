@@ -140,13 +140,17 @@ class _Tally:
         # is rounded like the endpoints themselves, so it cannot show an
         # endpoint that rounded inward; a rational one can.  A float operand
         # is a point lane.  Poisoned lanes and infinite ends on their own
-        # side are sound.  sqrt compares the squared ends with the radicand.
+        # side are sound; an infinite end on the other side (a lower end of
+        # +inf, an upper end of -inf) misses every finite image and is a
+        # violation.  sqrt compares the squared ends with the radicand.
         for i in lanes:
             lo, hi = float(result.lo[i]), float(result.hi[i])
             if math.isnan(lo) or math.isnan(hi):
                 continue
             exact_lo, exact_hi = _exact_range(op, _ends(x, i), _ends(y, i))
-            if op == "sqrt":
+            if lo == math.inf or hi == -math.inf:
+                below = above = False
+            elif op == "sqrt":
                 below = lo <= 0.0 or Fraction(lo) ** 2 <= exact_lo
                 above = hi == math.inf or (hi >= 0.0 and exact_hi <= Fraction(hi) ** 2)
             else:

@@ -90,6 +90,26 @@ class TestStructure:
                 isinstance(h, OrRelation) for h in CATALOG[f"LEMMA_SC{k}"].hypotheses
             )
 
+    def test_orderings_are_declared_for_contraction(self):
+        # every ordering of two raw variables is declared in a structured
+        # form, from the largest variable down, and is labelled cheap
+        for system in lemma_catalog():
+            ordered = [h for h in system.hypotheses if isinstance(h, Relation) and h.ordered]
+            cheap = [h for h in system.hypotheses if h.cheap]
+            assert ordered == cheap
+            assert all(h.label == "%s <= %s" % h.ordered for h in ordered)
+        chains = {
+            "LEMMA_SC3": ["s1", "h1", "h2", "h3", "sn"],
+            "LEMMA_MSC_NEG": ["s1", "h1", "h2", "h3", "h4"],
+            "LEMMA_MSC_POS": ["s1", "h1", "h2", "h3", "h_jnext"],
+        }
+        for name, chain in chains.items():
+            pairs = [h.ordered for h in CATALOG[name].hypotheses if isinstance(h, Relation) and h.ordered]
+            expected = [(small, big) for big, small in zip(chain, chain[1:])]
+            if name == "LEMMA_MSC_POS":
+                expected.append(("delta_y", "h3"))
+            assert pairs == expected
+
     def test_cheap_hypotheses_are_raw_variable_relations(self):
         # the cheap label names relations on raw variables only
         for system in lemma_catalog():
@@ -130,21 +150,64 @@ class TestSamples:
         assert (s["sn"] < sigma(s["s1"])).any()
 
 
+def _boxes_around(rng, system, samples, count):
+    """`count` random sub-boxes of the variable box, and one random box
+    around each sample (an end on the sample itself a fifth of the time)."""
+    names = [v.name for v in system.variables]
+    vlo = np.array([v.lo for v in system.variables])
+    vhi = np.array([v.hi for v in system.variables])
+    ends = np.sort(rng.uniform(vlo, vhi, (2, count, len(names))), axis=0)
+    pts = np.column_stack([samples[n] for n in names])
+    pad = rng.uniform(0.0, 1.0, (2,) + pts.shape) * (vhi - vlo) * rng.choice([1e-6, 1e-3, 0.1], (2,) + pts.shape)
+    pad *= rng.random(pad.shape) > 0.2
+    lo = np.concatenate([ends[0], np.maximum(pts - pad[0], vlo)])
+    hi = np.concatenate([ends[1], np.minimum(pts + pad[1], vhi)])
+    return lo, hi, pts
+
+
+class TestContraction:
+    """Contraction by the catalog's orderings on random boxes and on boxes
+    around samples that meet every hypothesis."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_samples_stay_inside_their_contracted_boxes(self, name):
+        system = CATALOG[name]
+        samples = hypothesis_samples(system, 300, seed=303)
+        lo, hi, pts = _boxes_around(np.random.default_rng(303), system, samples, 300)
+        inside = np.all((lo[:, None] <= pts) & (pts <= hi[:, None]), axis=2)
+        assert inside.sum() >= len(pts)
+        nonempty = engine._contract(lo, hi, engine._orderings(system))
+        after = np.all((lo[:, None] <= pts) & (pts <= hi[:, None]), axis=2)
+        assert np.all(after[inside])
+        assert np.all(nonempty[inside.any(axis=1)])
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_a_second_pass_changes_nothing(self, name):
+        system = CATALOG[name]
+        samples = hypothesis_samples(system, 300, seed=404)
+        lo, hi, _ = _boxes_around(np.random.default_rng(404), system, samples, 300)
+        pairs = engine._orderings(system)
+        engine._contract(lo, hi, pairs)
+        again_lo, again_hi = lo.copy(), hi.copy()
+        engine._contract(again_lo, again_hi, pairs)
+        assert np.array_equal(again_lo, lo) and np.array_equal(again_hi, hi)
+
+
 # (boxes explored, boxes pruned, max depth) of every catalog system at
 # ProverConfig().  A change to an enclosure or to the search that alters a
 # tree must update these on purpose; the chunk size must not alter one.
 PINNED_TREES = {
     "LEMMA_TP1": (27, 14, 6),
     "LEMMA_TP2": (89, 45, 10),
-    "LEMMA_SC1": (7025, 3513, 27),
-    "LEMMA_SC2": (18213, 9107, 27),
-    "LEMMA_SC3": (97731, 48866, 28),
-    "LEMMA_SC4": (369593, 184797, 34),
-    "LEMMA_SC5_SIGMA": (21061, 10531, 29),
-    "LEMMA_SC6_SIGMA": (25937, 12969, 31),
-    "LEMMA_SC7_SIGMA": (28261, 14131, 33),
-    "LEMMA_MSC_NEG": (413487, 206744, 30),
-    "LEMMA_MSC_POS": (13103, 6552, 26),
+    "LEMMA_SC1": (5997, 2999, 24),
+    "LEMMA_SC2": (12843, 6422, 25),
+    "LEMMA_SC3": (57303, 28652, 26),
+    "LEMMA_SC4": (182073, 91037, 29),
+    "LEMMA_SC5_SIGMA": (801, 401, 23),
+    "LEMMA_SC6_SIGMA": (473, 237, 23),
+    "LEMMA_SC7_SIGMA": (347, 174, 25),
+    "LEMMA_MSC_NEG": (255047, 127524, 28),
+    "LEMMA_MSC_POS": (1731, 866, 24),
 }
 
 
@@ -158,7 +221,7 @@ class TestFastProofs:
         tree = (stats.boxes_explored, stats.boxes_pruned, stats.max_depth_reached)
         assert tree == PINNED_TREES[name]
 
-    @pytest.mark.parametrize("name", ["LEMMA_SC4", "LEMMA_MSC_NEG"])
+    @pytest.mark.parametrize("name", sorted(PINNED_TREES))
     def test_chunk_size_does_not_change_the_tree(self, monkeypatch, name):
         monkeypatch.setattr(engine, "CHUNK_LANES", 1024)
         stats = prove(CATALOG[name]).stats

@@ -244,6 +244,8 @@ class TestProve:
         assert data["lemmas"][0]["name"] == "LEMMA_TP1"
         assert data["lemmas"][0]["status"] == "proved"
         assert data["lemmas"][0]["undecided_count"] == 0
+        # contraction never empties a box of this one-variable system
+        assert data["lemmas"][0]["boxes_emptied"] == 0
 
     def test_all_lemmas_prove(self, tmp_path):
         report = tmp_path / "report.json"
@@ -283,7 +285,10 @@ class TestProve:
         assert main(
             ["prove", "--lemma", "LEMMA_TP1", "--depth", "3", "--min-width", "0.25"]
         ) == EXIT_NOT_PROVED
-        assert seen == [ProverConfig(), ProverConfig(max_depth=3, min_width=0.25)]
+        # the parser is built once per process; no value carries over
+        assert main(["prove", "--lemma", "LEMMA_TP1"]) == EXIT_OK
+        assert seen == [ProverConfig(), ProverConfig(max_depth=3, min_width=0.25), ProverConfig()]
+        assert cli._build_parser() is cli._build_parser()
 
     @pytest.mark.parametrize(
         "flag, value",

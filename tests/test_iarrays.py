@@ -396,6 +396,7 @@ class TestRoundingMutants:
             _unrounded("sqrt"),
             _unrounded("__truediv__"),
             _unrounded("square", ("_up",)),
+            _unrounded("square", ("_down",)),
         ],
         ids=[
             "no-absolute-margin",
@@ -404,6 +405,7 @@ class TestRoundingMutants:
             "sqrt-unrounded",
             "division-unrounded",
             "square-upper-end-unrounded",
+            "square-lower-end-unrounded",
         ],
     )
     def test_mutant_is_caught(self, monkeypatch, mutant):

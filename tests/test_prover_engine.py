@@ -1,4 +1,5 @@
-"""Branch-and-prune engine: statuses, pruning, splitting, chunking."""
+"""Branch-and-prune engine: statuses, pruning, contraction, splitting,
+chunking, and the mutants its tests must catch."""
 
 from __future__ import annotations
 
@@ -21,9 +22,12 @@ from diskpack.prover.engine import (
     Relation,
     Variable,
     confirm_counterexample,
+    ordering,
 )
 from diskpack.iarrays import IntervalArray
 from diskpack.scalars import sqrt, square
+
+from test_catalog import CATALOG, PINNED_TREES
 
 
 def _sys(name, variables, hypotheses, conclusion, prepare=None):
@@ -33,6 +37,21 @@ def _sys(name, variables, hypotheses, conclusion, prepare=None):
         hypotheses=tuple(hypotheses),
         conclusion=conclusion,
         prepare=prepare,
+    )
+
+
+def _sqrt_above_one(lo, hi):
+    def prep(env):
+        e = dict(env)
+        e["r"] = sqrt(e["x"])
+        return e
+
+    return _sys(
+        "toy_sqrt_above_one",
+        [Variable("x", lo, hi)],
+        [],
+        Relation("sqrt(x) > 1", lambda e: e["r"], ">", 1.0),
+        prepare=prep,
     )
 
 
@@ -64,30 +83,17 @@ class TestStatuses:
         assert x * x <= 1.0
         assert confirm_counterexample(system, res.counterexample)
 
-    def _sqrt_above_one(self, lo, hi):
-        def prep(env):
-            e = dict(env)
-            e["r"] = sqrt(e["x"])
-            return e
-
-        return _sys(
-            "toy_sqrt_above_one",
-            [Variable("x", lo, hi)],
-            [],
-            Relation("sqrt(x) > 1", lambda e: e["r"], ">", 1.0),
-            prepare=prep,
-        )
-
     def test_nan_midpoints_do_not_disprove(self):
-        # sqrt is NaN on every midpoint of [-1, -0.5] in NumPy and a domain
-        # error on the float path: nothing there is a counterexample
-        res = prove(self._sqrt_above_one(-1.0, -0.5))
+        # sqrt poisons every lane of [-1, -0.5], so the search reaches
+        # leaves and tries their midpoints; each is a domain error on the
+        # float path, so nothing there is a counterexample
+        res = prove(_sqrt_above_one(-1.0, -0.5))
         assert res.status is not ProofStatus.DISPROVED
         assert res.counterexample is None
 
     def test_counterexample_skips_nan_midpoints(self):
         # the root midpoint -0.25 has a NaN conclusion; a later one is real
-        system = self._sqrt_above_one(-1.0, 0.5)
+        system = _sqrt_above_one(-1.0, 0.5)
         res = prove(system)
         assert res.status is ProofStatus.DISPROVED
         assert confirm_counterexample(system, res.counterexample)
@@ -306,27 +312,132 @@ class TestPrepareAndDomains:
         )
 
 
-class TestSplitSchedule:
-    def test_widest_root_width_after_halvings_first_on_ties(self):
-        system = _sys(
-            "toy_schedule",
-            [Variable("x", 0.0, 1.0), Variable("y", 0.0, 2.0), Variable("z", 0.0, 1.0)],
-            [],
-            Relation("x > -1", lambda e: e["x"], ">", -1.0),
-        )
-        split = engine._split_schedule(system, ProverConfig(max_depth=7, min_width=0.1))
-        assert split == [1, 0, 1, 2, 0, 1, 2]
+def _undecidable(variables, hypotheses=()):
+    # x - x is [-w, w] on a box of width w: no box is ever decided, so the
+    # leaves are exactly where the split rule stops
+    return _sys(
+        "toy_undecidable",
+        variables,
+        hypotheses,
+        Relation("x - x <= 0", lambda e: e["x"] - e["x"], "<=", 0.0),
+    )
 
-    def test_schedule_stops_at_the_width_floor(self):
+
+def _leaves(system, config, monkeypatch):
+    monkeypatch.setattr(engine, "UNDECIDED_CAP", 10**9)
+    res = prove(system, config)
+    assert res.status is ProofStatus.UNDECIDED
+    assert res.stats.undecided_count == len(res.undecided_boxes)
+    return res, {tuple(box[v.name] for v in system.variables) for box in res.undecided_boxes}
+
+
+class TestSplitRule:
+    def test_widest_current_width_first_on_ties(self, monkeypatch):
+        # y (width 2) first; then x, y and z all have width 1 and x wins;
+        # then y (width 1 against 1/2 and 1) again
+        system = _undecidable(
+            [Variable("x", 0.0, 1.0), Variable("y", 0.0, 2.0), Variable("z", 0.0, 1.0)]
+        )
+        res, leaves = _leaves(system, ProverConfig(max_depth=3, min_width=0.1), monkeypatch)
+        assert leaves == {
+            (x, y, (0.0, 1.0))
+            for x in ((0.0, 0.5), (0.5, 1.0))
+            for y in ((0.0, 0.5), (0.5, 1.0), (1.0, 1.5), (1.5, 2.0))
+        }
+        assert res.stats.max_depth_reached == 3
+
+    def test_each_box_splits_across_its_contracted_widths(self, monkeypatch):
+        # y <= x cuts y to [0, 1] on the root, so x (first on the tie) is
+        # split there although y's declared range is four times as wide;
+        # below, each box picks from its own widths
+        system = _undecidable(
+            [Variable("x", 0.0, 1.0), Variable("y", 0.0, 4.0)], [ordering("y", "x")]
+        )
+        _, leaves = _leaves(system, ProverConfig(max_depth=2, min_width=0.1), monkeypatch)
+        assert leaves == {
+            ((0.0, 0.25), (0.0, 0.25)),
+            ((0.25, 0.5), (0.0, 0.5)),
+            ((0.5, 1.0), (0.0, 0.5)),
+            ((0.5, 1.0), (0.5, 1.0)),
+        }
+
+    def test_leaf_once_no_width_exceeds_min_width(self, monkeypatch):
+        # widths 1, 1/2 and 1/4 on x: the boxes with x of width 1/4 are
+        # leaves, y (width 1/4) is never split
+        system = _undecidable([Variable("x", 0.0, 1.0), Variable("y", 0.0, 0.25)])
+        res, leaves = _leaves(system, ProverConfig(max_depth=60, min_width=0.25), monkeypatch)
+        assert leaves == {((k / 4, (k + 1) / 4), (0.0, 0.25)) for k in range(4)}
+        assert res.stats.max_depth_reached == 2
+
+    def test_leaf_at_max_depth(self, monkeypatch):
+        system = _undecidable([Variable("x", 0.0, 1.0), Variable("y", 0.0, 0.25)])
+        res, leaves = _leaves(system, ProverConfig(max_depth=1, min_width=1e-6), monkeypatch)
+        assert leaves == {((0.0, 0.5), (0.0, 0.25)), ((0.5, 1.0), (0.0, 0.25))}
+        assert res.stats.max_depth_reached == 1
+
+
+def _diagonal_point():
+    # y <= x on x in [0, 1], y in [1, 2] leaves one point, x = y = 1, where
+    # the conclusion fails: contraction must keep it
+    return _sys(
+        "toy_diagonal_point",
+        [Variable("x", 0.0, 1.0), Variable("y", 1.0, 2.0)],
+        [ordering("y", "x")],
+        Relation("x + y < 2", lambda e: e["x"] + e["y"], "<", 2.0),
+    )
+
+
+class TestContraction:
+    def test_counterexample_on_the_ordering_boundary_is_found(self):
+        res = prove(_diagonal_point())
+        assert res.status is ProofStatus.DISPROVED
+        assert res.counterexample == {"x": 1.0, "y": 1.0}
+        assert res.stats.boxes_emptied == 0
+
+    def test_empty_root_is_pruned_and_counted(self):
         system = _sys(
-            "toy_floor",
-            [Variable("x", 0.0, 1.0), Variable("y", 0.0, 0.0)],
-            [],
+            "toy_empty",
+            [Variable("x", 0.0, 1.0), Variable("y", 2.0, 3.0)],
+            [ordering("y", "x")],
+            Relation("x > 5", lambda e: e["x"], ">", 5.0),
+        )
+        res = prove(system)
+        stats = res.stats
+        assert res.status is ProofStatus.PROVED
+        assert (stats.boxes_explored, stats.boxes_pruned, stats.boxes_emptied) == (1, 1, 1)
+
+    def test_ordering_is_the_hypothesis_it_declares(self):
+        rel = ordering("y", "x")
+        assert (rel.label, rel.op, rel.bound, rel.cheap, rel.ordered) == (
+            "y <= x", "<=", 0.0, True, ("y", "x"),
+        )
+        assert rel.holds({"x": 1.0, "y": 1.0}) and not rel.holds({"x": 1.0, "y": 1.5})
+
+    def test_unknown_variable_is_refused(self):
+        system = _sys(
+            "toy_unknown",
+            [Variable("x", 0.0, 1.0)],
+            [ordering("y", "x")],
             Relation("x > -1", lambda e: e["x"], ">", -1.0),
         )
-        # widths 1, 1/2, 1/4, 1/8 exceed 0.1; 1/16 does not
-        assert engine._split_schedule(system, ProverConfig(60, 0.1)) == [0, 0, 0, 0]
-        assert engine._split_schedule(system, ProverConfig(2, 0.1)) == [0, 0]
+        with pytest.raises(ContractError):
+            prove(system)
+
+    def test_random_boxes_keep_their_ordered_points(self):
+        # a <= b <= c (declared c >= b, then b >= a): any point of a box
+        # that meets both orderings is in the contracted box, and one pass
+        # is the fixpoint
+        rng = np.random.default_rng(5)
+        pairs = [(1, 2), (0, 1)]
+        pts = np.sort(rng.uniform(0.0, 1.0, (4000, 3)), axis=1)
+        pts[::7, 1] = pts[::7, 2]  # points on b == c
+        lo = pts - rng.uniform(0.0, 0.5, pts.shape) * (rng.random(pts.shape) < 0.8)
+        hi = pts + rng.uniform(0.0, 0.5, pts.shape) * (rng.random(pts.shape) < 0.8)
+        assert engine._contract(lo, hi, pairs).all()
+        assert np.all((lo <= pts) & (pts <= hi))
+        again_lo, again_hi = lo.copy(), hi.copy()
+        engine._contract(again_lo, again_hi, pairs)
+        assert np.array_equal(again_lo, lo) and np.array_equal(again_hi, hi)
 
 
 class TestSchedulingInvariance:
@@ -383,6 +494,69 @@ class TestControls:
         monkeypatch.setattr(engine, "UNDECIDED_CAP", 10**9)
         res = prove(system, ProverConfig(max_depth=5, min_width=1e-12))
         assert res.stats.max_depth_reached <= 5
+
+
+# Named checks: each returns True on the unmutated engine.
+def _boundary_counterexample_found():
+    res = prove(_diagonal_point())
+    return res.status is ProofStatus.DISPROVED and res.counterexample == {"x": 1.0, "y": 1.0}
+
+
+def _nan_midpoints_do_not_disprove():
+    return prove(_sqrt_above_one(-1.0, -0.5)).status is not ProofStatus.DISPROVED
+
+
+def _tp1_tree_is_pinned():
+    stats = prove(CATALOG["LEMMA_TP1"]).stats
+    tree = (stats.boxes_explored, stats.boxes_pruned, stats.max_depth_reached)
+    return tree == PINNED_TREES["LEMMA_TP1"]
+
+
+CHECKS = {
+    "boundary counterexample found": _boundary_counterexample_found,
+    "NaN midpoints do not disprove": _nan_midpoints_do_not_disprove,
+    "LEMMA_TP1 tree pinned": _tp1_tree_is_pinned,
+}
+
+
+def _contract_one_ulp_in(monkeypatch):
+    """hi[small] drops one ulp below hi[big]: cuts the points small == big."""
+
+    def mutant(LO, HI, pairs):
+        for s, b in pairs:
+            np.minimum(HI[:, s], np.nextafter(HI[:, b], -np.inf), out=HI[:, s])
+        for s, b in reversed(pairs):
+            np.maximum(LO[:, b], LO[:, s], out=LO[:, b])
+        return np.all(LO <= HI, axis=1)
+
+    monkeypatch.setattr(engine, "_contract", mutant)
+
+
+class TestEngineMutants:
+    """Each mutant of the search must fail its named check; the unmutated
+    engine passes every check."""
+
+    def test_unmutated_passes_every_check(self):
+        assert [name for name, check in CHECKS.items() if not check()] == []
+
+    @pytest.mark.parametrize(
+        "mutant, check",
+        [
+            (_contract_one_ulp_in, "boundary counterexample found"),
+            (
+                lambda mp: mp.setattr(engine, "confirm_counterexample", lambda *a: True),
+                "NaN midpoints do not disprove",
+            ),
+            (
+                lambda mp: mp.setattr(engine, "_centre", lambda lo, hi: lo + 0.4 * (hi - lo)),
+                "LEMMA_TP1 tree pinned",
+            ),
+        ],
+        ids=["contraction-one-ulp-in", "confirm-always-true", "midpoint-off-centre"],
+    )
+    def test_mutant_is_caught(self, monkeypatch, mutant, check):
+        mutant(monkeypatch)
+        assert not CHECKS[check]()
 
 
 class TestHelpers:
