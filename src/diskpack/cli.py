@@ -317,6 +317,8 @@ def _result_row(result: ProofResult) -> "dict[str, object]":
         "undecided_count": result.stats.undecided_count,
         "peak_lanes": result.stats.peak_lanes,
         "boxes_emptied": result.stats.boxes_emptied,
+        "evaluations": result.stats.evaluations,
+        "lanes_evaluated": result.stats.lanes_evaluated,
         "wall_time_s": result.stats.wall_time_s,
     }
     if result.counterexample is not None:

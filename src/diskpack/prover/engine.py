@@ -26,11 +26,24 @@ Boxes are processed in chunks of same-depth boxes stored as two lane-major
 arrays, so every formula evaluates vectorized across lanes.  Every step
 reads one box alone, so the tree depends only on the system and the
 ProverConfig: the chunking changes the speed of a proof, not its tree.
-Each chunk gets one pass: contraction, then prepare() builds the derived
+The leaf rule, the split and contraction need no evaluation, so a
+chunk's subtree is known before anything is evaluated.  Each popped chunk
+becomes a block: the contracted chunk, then the bisected and contracted
+children of every non-leaf box of the level above, level after level while
+the block stays within CHUNK_LANES // 4 lanes (a larger chunk is a block
+of one level).  The block gets one pass: prepare() builds the derived
 quantities, every hypothesis is evaluated in order, and the surviving lanes
 are compacted once before the conclusion, the expensive formula, runs on
-them.  A lane that leaves prepare()'s domain is poisoned, not raised on, so
-a hypothesis on raw variables still prunes it in the same pass.
+them.  The block is then walked top-down, and a box counts as explored
+only if its parent was explored, survived and is not a leaf; the lanes
+below a pruned box are wasted work, cheap on a small chunk, where one pass
+per level would pay the fixed cost of every interval operation.
+Counterexample candidates and undecided leaves are taken level by level,
+so the first confirmed counterexample depends on the blocks, though the
+tree does not.  The survivors of the last level are bisected onto the
+depth-first stack.  A lane that leaves prepare()'s domain is poisoned, not
+raised on, so a hypothesis on raw variables still prunes it in the same
+pass.
 
 All expression callbacks receive an environment dict and must be written
 against the kind-generic scalar helpers, so the same callback serves the
@@ -145,8 +158,9 @@ def ordering(small: str, big: str) -> Relation:
     )
 
 
-# Most lanes one chunk holds, and how many undecided boxes end a search
-# early as UNDECIDED.
+# Most lanes one chunk holds (a block with lookahead levels holds at most a
+# quarter of that), and how many undecided boxes end a search early as
+# UNDECIDED.
 CHUNK_LANES = 8192
 UNDECIDED_CAP = 64
 
@@ -169,9 +183,11 @@ class ProofStats:
     boxes_pruned: int = 0
     max_depth_reached: int = 0
     undecided_count: int = 0
-    peak_lanes: int = 0
+    peak_lanes: int = 0  # most lanes held at once, on the stack and in a block
     wall_time_s: float = 0.0
     boxes_emptied: int = 0  # pruned by contraction alone; in boxes_pruned too
+    evaluations: int = 0  # vectorized passes through prepare()
+    lanes_evaluated: int = 0  # lanes in those passes, lookahead included
 
 
 @dataclass(frozen=True)
@@ -265,7 +281,78 @@ def _contract(LO: np.ndarray, HI: np.ndarray, pairs: "list[tuple[int, int]]") ->
     return np.all(LO <= HI, axis=1)
 
 
-def _search(system: ConstraintSystem, config: ProverConfig) -> ProofResult:
+def _bisect(lo: np.ndarray, hi: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Both halves of every box across its widest side (argmax takes the
+    first variable on ties): the lower halves, then the upper halves."""
+    n = lo.shape[0]
+    rows = np.arange(n)
+    j = np.argmax(hi - lo, axis=1)
+    mid = _centre(lo[rows, j], hi[rows, j])
+    children_lo = np.concatenate([lo, lo])
+    children_hi = np.concatenate([hi, hi])
+    children_hi[rows, j] = mid
+    children_lo[rows + n, j] = mid
+    return children_lo, children_hi
+
+
+def _block(
+    LO: np.ndarray,
+    HI: np.ndarray,
+    depth: int,
+    pairs: "list[tuple[int, int]]",
+    config: ProverConfig,
+    budget: int,
+) -> list:
+    """The chunk at `depth` and as many of its next tree levels as fit in
+    `budget` lanes.  Each level is (lo, hi, kept, parent, leaf): its boxes
+    left nonempty by contraction, the mask of those among the boxes built,
+    the index of each built box's parent among the previous level's lo
+    (None on the chunk) and the leaf mask of lo.  A level holds the halves
+    of every non-leaf box of the level above, whether or not evaluation
+    will keep that box: the leaf rule, the split and contraction read the
+    box alone, so the subtree is known before anything is evaluated."""
+    levels = []
+    parent = None
+    total = LO.shape[0]
+    while True:
+        d = depth + len(levels)
+        kept = _contract(LO, HI, pairs)
+        if not kept.all():
+            LO, HI = LO[kept], HI[kept]
+        leaf = (d >= config.max_depth) | ~np.any(HI - LO > config.min_width, axis=1)
+        levels.append((LO, HI, kept, parent, leaf))
+        split = np.flatnonzero(~leaf)
+        if split.size == 0 or total + 2 * split.size > budget:
+            return levels
+        LO, HI = _bisect(LO[split], HI[split])
+        parent = np.concatenate([split, split])
+        total += LO.shape[0]
+
+
+def _evaluate(
+    system: ConstraintSystem, LO: np.ndarray, HI: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, dict]":
+    """One vectorized pass over the boxes: (alive, concl_true, concl_false,
+    env), where alive means no hypothesis is certainly false; the
+    conclusion, the expensive formula, runs only on alive lanes and is
+    False elsewhere."""
+    lanes = LO.shape[0]
+    env = _prepared(system, _env_from(system, LO, HI))
+    alive = np.ones(lanes, dtype=bool)
+    for rel in system.hypotheses:
+        _, cf = rel.certs(env)
+        alive &= ~cf
+    concl_ct = np.zeros(lanes, dtype=bool)
+    concl_cf = np.zeros(lanes, dtype=bool)
+    aidx = np.flatnonzero(alive)
+    if aidx.size:
+        if aidx.size < lanes:
+            env = _compact_env(env, aidx)
+        concl_ct[aidx], concl_cf[aidx] = system.conclusion.certs(env)
+    return alive, concl_ct, concl_cf, env
+
+
+def _search(system: ConstraintSystem, config: ProverConfig, budget: int) -> ProofResult:
     names = [v.name for v in system.variables]
     pairs = _orderings(system)
     lo0 = np.array([[v.lo for v in system.variables]], dtype=float)
@@ -290,79 +377,72 @@ def _search(system: ConstraintSystem, config: ProverConfig) -> ProofResult:
                 total += lo2.shape[0]
             LO = np.concatenate(group)
             HI = np.concatenate(group_hi)
+        stats.peak_lanes = max(stats.peak_lanes, lanes_resident)
+        lanes_resident -= LO.shape[0]
+
+        levels = _block(LO, HI, depth, pairs, config, budget)
+        if len(levels) == 1:
+            LO, HI = levels[0][:2]
+        else:
+            LO = np.concatenate([lv[0] for lv in levels])
+            HI = np.concatenate([lv[1] for lv in levels])
         lanes = LO.shape[0]
-        stats.peak_lanes = max(stats.peak_lanes, lanes_resident)
-        lanes_resident -= lanes
-        stats.boxes_explored += lanes
-        stats.max_depth_reached = max(stats.max_depth_reached, depth)
+        stats.peak_lanes = max(stats.peak_lanes, lanes_resident + lanes)
+        if lanes:
+            stats.evaluations += 1
+            stats.lanes_evaluated += lanes
+            # env stays bound until the next pass has built its own.  Freed
+            # at once, it would sit on top of the heap, go back to the OS
+            # and fault in again on every pass, which gave LEMMA_SC4 2.4x
+            # the minor page faults and a fifth more CPU time.
+            alive, concl_ct, concl_cf, env = _evaluate(system, LO, HI)
+        else:  # contraction emptied the whole chunk
+            alive = concl_ct = concl_cf = np.zeros(0, dtype=bool)
 
-        kept = np.flatnonzero(_contract(LO, HI, pairs))
-        if kept.size < lanes:
-            stats.boxes_emptied += lanes - kept.size
-            stats.boxes_pruned += lanes - kept.size
-            if kept.size == 0:
-                continue
-            LO, HI, lanes = LO[kept], HI[kept], kept.size
+        # Walk the block top-down: a box is explored only if its parent was
+        # explored, survived and is not a leaf.
+        offset = 0
+        for k, (lo, hi, kept, parent, leaf) in enumerate(levels):
+            # explored among the boxes built, then among those left nonempty
+            reached = np.ones(kept.size, dtype=bool) if parent is None else split[parent]
+            explored = reached[kept]
+            n_explored = int(np.count_nonzero(reached))
+            if n_explored:
+                stats.boxes_explored += n_explored
+                stats.max_depth_reached = max(stats.max_depth_reached, depth + k)
+            stats.boxes_emptied += n_explored - int(np.count_nonzero(explored))
+            lanes_k = slice(offset, offset + lo.shape[0])
+            offset += lo.shape[0]
+            survived = explored & alive[lanes_k] & ~concl_ct[lanes_k]
+            stats.boxes_pruned += n_explored - int(np.count_nonzero(survived))
 
-        env = _prepared(system, _env_from(system, LO, HI))
-        alive = np.ones(lanes, dtype=bool)
-        for rel in system.hypotheses:
-            _, cf = rel.certs(env)
-            alive &= ~cf
-        aidx = np.flatnonzero(alive)
-        stats.boxes_pruned += lanes - aidx.size
-        if aidx.size == 0:
-            continue
-        if aidx.size < lanes:
-            # The conclusion is the expensive formula; evaluate it only on
-            # lanes that survived every hypothesis.
-            env = _compact_env(env, aidx)
-            LO, HI = LO[aidx], HI[aidx]
-        concl_ct, concl_cf = system.conclusion.certs(env)
-        sidx = np.flatnonzero(~concl_ct)
-        stats.boxes_pruned += aidx.size - sidx.size
-        if sidx.size == 0:
-            continue
-        LOs, HIs = LO[sidx], HI[sidx]
+            cand = np.flatnonzero(survived & (leaf | concl_cf[lanes_k]))
+            for mid in _centre(lo[cand], hi[cand]).tolist():
+                point = dict(zip(names, mid))
+                if confirm_counterexample(system, point):
+                    return ProofResult(system.name, ProofStatus.DISPROVED, stats, point)
 
-        widths = HIs - LOs
-        leaf = (depth >= config.max_depth) | ~np.any(widths > config.min_width, axis=1)
+            lidx = np.flatnonzero(survived & leaf)
+            if lidx.size:
+                stats.undecided_count += lidx.size
+                for i in lidx[: max(0, 8 - len(undecided))]:
+                    undecided.append(_box_dict(system, lo[i], hi[i]))
+                if stats.undecided_count > UNDECIDED_CAP:
+                    return ProofResult(
+                        system.name, ProofStatus.UNDECIDED, stats, None, tuple(undecided)
+                    )
+            split = survived & ~leaf
 
-        cand = np.flatnonzero(leaf | concl_cf[sidx])
-        for mid in _centre(LOs[cand], HIs[cand]).tolist():
-            point = dict(zip(names, mid))
-            if confirm_counterexample(system, point):
-                return ProofResult(system.name, ProofStatus.DISPROVED, stats, point)
-
-        lidx = np.flatnonzero(leaf)
-        if lidx.size:
-            stats.undecided_count += lidx.size
-            for k in lidx[: max(0, 8 - len(undecided))]:
-                undecided.append(_box_dict(system, LOs[k], HIs[k]))
-            if stats.undecided_count > UNDECIDED_CAP:
-                return ProofResult(
-                    system.name, ProofStatus.UNDECIDED, stats, None, tuple(undecided)
-                )
-            if lidx.size == sidx.size:
-                continue
-            split = np.flatnonzero(~leaf)
-            LOs, HIs, widths = LOs[split], HIs[split], widths[split]
-
-        # the lower halves, then the upper halves, each across its box's
-        # widest side (argmax takes the first variable on ties)
-        n = LOs.shape[0]
-        rows = np.arange(n)
-        j = np.argmax(widths, axis=1)
-        mid = _centre(LOs[rows, j], HIs[rows, j])
-        children_lo = np.concatenate([LOs, LOs])
-        children_hi = np.concatenate([HIs, HIs])
-        children_hi[rows, j] = mid
-        children_lo[rows + n, j] = mid
-        for start in range(0, 2 * n, CHUNK_LANES):
-            end = min(start + CHUNK_LANES, 2 * n)
-            stack.append((depth + 1, children_lo[start:end], children_hi[start:end]))
-            lanes_resident += end - start
-        stats.peak_lanes = max(stats.peak_lanes, lanes_resident)
+        if split.any():
+            children_lo, children_hi = _bisect(lo[split], hi[split])
+            for start in range(0, children_lo.shape[0], CHUNK_LANES):
+                end = min(start + CHUNK_LANES, children_lo.shape[0])
+                stack.append((depth + len(levels), children_lo[start:end], children_hi[start:end]))
+                lanes_resident += end - start
+            stats.peak_lanes = max(stats.peak_lanes, lanes_resident)
+        # drop this block's boxes before the next is built; the stack holds
+        # what is left of it
+        del levels, lo, hi
 
     status = ProofStatus.PROVED if stats.undecided_count == 0 else ProofStatus.UNDECIDED
     return ProofResult(system.name, status, stats, None, tuple(undecided))
@@ -371,6 +451,6 @@ def _search(system: ConstraintSystem, config: ProverConfig) -> ProofResult:
 def prove(system: ConstraintSystem, config: Optional[ProverConfig] = None) -> ProofResult:
     """Run the branch-and-prune search at `config`, else at ProverConfig()."""
     t0 = time.perf_counter()
-    result = _search(system, config or ProverConfig())
+    result = _search(system, config or ProverConfig(), CHUNK_LANES // 4)
     result.stats.wall_time_s = time.perf_counter() - t0
     return result

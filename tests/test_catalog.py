@@ -10,6 +10,7 @@ import pytest
 from diskpack.geometry import T_inv, sigma
 from diskpack.prover import (
     ProofStatus,
+    ProverConfig,
     lemma_catalog,
     lemma_names,
     prove,
@@ -195,7 +196,8 @@ class TestContraction:
 
 # (boxes explored, boxes pruned, max depth) of every catalog system at
 # ProverConfig().  A change to an enclosure or to the search that alters a
-# tree must update these on purpose; the chunk size must not alter one.
+# tree must update these on purpose; the chunk size and the lookahead
+# budget must not alter one.
 PINNED_TREES = {
     "LEMMA_TP1": (27, 14, 6),
     "LEMMA_TP2": (89, 45, 10),
@@ -220,6 +222,16 @@ class TestFastProofs:
         assert stats.undecided_count == 0
         tree = (stats.boxes_explored, stats.boxes_pruned, stats.max_depth_reached)
         assert tree == PINNED_TREES[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TREES))
+    def test_lookahead_does_not_change_the_tree(self, name):
+        # budget 0: every block is one level, a pass per chunk
+        res = engine._search(CATALOG[name], ProverConfig(), 0)
+        stats = res.stats
+        assert res.status is ProofStatus.PROVED
+        tree = (stats.boxes_explored, stats.boxes_pruned, stats.max_depth_reached)
+        assert tree == PINNED_TREES[name]
+        assert stats.lanes_evaluated == stats.boxes_explored - stats.boxes_emptied
 
     @pytest.mark.parametrize("name", sorted(PINNED_TREES))
     def test_chunk_size_does_not_change_the_tree(self, monkeypatch, name):

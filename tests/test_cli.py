@@ -246,6 +246,10 @@ class TestProve:
         assert data["lemmas"][0]["undecided_count"] == 0
         # contraction never empties a box of this one-variable system
         assert data["lemmas"][0]["boxes_emptied"] == 0
+        # every box is evaluated, and the lookahead can only add lanes
+        row = data["lemmas"][0]
+        assert row["evaluations"] >= 1
+        assert row["lanes_evaluated"] >= row["boxes_explored"] - row["boxes_emptied"]
 
     def test_all_lemmas_prove(self, tmp_path):
         report = tmp_path / "report.json"

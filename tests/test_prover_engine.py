@@ -1,9 +1,11 @@
 """Branch-and-prune engine: statuses, pruning, contraction, splitting,
-chunking, and the mutants its tests must catch."""
+chunking, lookahead blocks, and the mutants its tests must catch."""
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -282,7 +284,7 @@ class TestPrepareAndDomains:
         res = prove(system, config)
         assert res.status is ProofStatus.PROVED
         assert (res.stats.boxes_explored, res.stats.boxes_pruned) == (5471, 2736)
-        assert len(builds) == len(prepares)  # one environment per chunk
+        assert len(builds) == len(prepares) == res.stats.evaluations  # one per pass
         unguarded = prove(dataclasses.replace(system, hypotheses=()), config)
         assert unguarded.status is ProofStatus.UNDECIDED
 
@@ -405,6 +407,7 @@ class TestContraction:
         stats = res.stats
         assert res.status is ProofStatus.PROVED
         assert (stats.boxes_explored, stats.boxes_pruned, stats.boxes_emptied) == (1, 1, 1)
+        assert (stats.evaluations, stats.lanes_evaluated) == (0, 0)
 
     def test_ordering_is_the_hypothesis_it_declares(self):
         rel = ordering("y", "x")
@@ -464,6 +467,100 @@ class TestSchedulingInvariance:
         assert r1.stats.boxes_explored == r2.stats.boxes_explored
 
 
+def _tree(res):
+    st = res.stats
+    return (
+        res.status,
+        st.boxes_explored,
+        st.boxes_pruned,
+        st.boxes_emptied,
+        st.max_depth_reached,
+        st.undecided_count,
+    )
+
+
+def _unordered_chain():
+    # x <= y <= z declared from the smallest variable up, so one pass of
+    # contraction is not the fixpoint and some bisected boxes are emptied;
+    # x <= 0.6 prunes boxes whose children the lookahead has built
+    return _undecidable(
+        [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0), Variable("z", 0.0, 1.0)],
+        [ordering("x", "y"), ordering("y", "z"), Relation("x <= 0.6", lambda e: e["x"], "<=", 0.6)],
+    )
+
+
+def _dependency_2d():
+    # (x - 1/2)^2 + (y - 1/2)^2 >= 0 written with x*x - x: true, but the
+    # enclosure overestimates, so it is certified only after some splits
+    return _sys(
+        "toy_dependency_2d",
+        [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0)],
+        [],
+        Relation(
+            "x^2 - x + y^2 - y + 1/2 >= -1e-3",
+            lambda e: e["x"] * e["x"] - e["x"] + e["y"] * e["y"] - e["y"] + 0.5,
+            ">=",
+            -1e-3,
+        ),
+    )
+
+
+class TestLookahead:
+    """A block evaluates a chunk with its next tree levels in one pass; the
+    tree must be the one a pass per level gives (budget 0)."""
+
+    BUDGETS = [0, 6, engine.CHUNK_LANES // 4]
+
+    @pytest.mark.parametrize(
+        "system, config",
+        [
+            (_unordered_chain(), ProverConfig(max_depth=7, min_width=1e-6)),
+            (_dependency_2d(), ProverConfig(max_depth=40)),
+            (_sqrt_above_one(-1.0, -0.5), ProverConfig(max_depth=9)),
+        ],
+        ids=["unordered-chain", "dependency-2d", "poisoned"],
+    )
+    def test_budget_does_not_change_the_tree(self, monkeypatch, system, config):
+        monkeypatch.setattr(engine, "UNDECIDED_CAP", 10**9)
+        runs = [engine._search(system, config, budget) for budget in self.BUDGETS]
+        assert len({_tree(r) for r in runs}) == 1
+        off = runs[0].stats
+        assert off.lanes_evaluated == off.boxes_explored - off.boxes_emptied
+        assert runs[-1].stats.evaluations < off.evaluations
+
+    def test_emptied_and_wasted_lanes_are_counted(self, monkeypatch):
+        monkeypatch.setattr(engine, "UNDECIDED_CAP", 10**9)
+        stats = prove(_unordered_chain(), ProverConfig(max_depth=7, min_width=1e-6)).stats
+        assert stats.boxes_emptied > 0
+        assert stats.lanes_evaluated > stats.boxes_explored - stats.boxes_emptied
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_counterexample_deep_below_a_small_chunk(self, budget):
+        # |x - 1/3| <= 1e-3 is certainly met first on a box of width 1/1024,
+        # ten levels below the one-lane root chunk
+        system = _sys(
+            "toy_deep_counterexample",
+            [Variable("x", 0.0, 1.0)],
+            [],
+            Relation("(x-1/3)^2 > 1e-6", lambda e: square(e["x"] - 1.0 / 3.0), ">", 1e-6),
+        )
+        res = engine._search(system, ProverConfig(), budget)
+        assert res.status is ProofStatus.DISPROVED
+        assert confirm_counterexample(system, res.counterexample)
+        assert abs(res.counterexample["x"] - 1.0 / 3.0) <= 1e-3
+        assert res.stats.max_depth_reached >= 10
+        if budget == engine.CHUNK_LANES // 4:
+            assert res.stats.evaluations == 1
+
+    def test_counts_are_deterministic(self):
+        for name in ("LEMMA_TP2", "LEMMA_SC7_SIGMA", "LEMMA_MSC_POS"):
+            first, again = (prove(CATALOG[name]).stats for _ in range(2))
+            assert (first.evaluations, first.lanes_evaluated) == (
+                again.evaluations,
+                again.lanes_evaluated,
+            ), name
+
+
 class TestControls:
     def test_undecided_cap_stops_early(self, monkeypatch):
         # x - x is [-w, w] on a box of width w, so no box is ever decided and
@@ -512,10 +609,37 @@ def _tp1_tree_is_pinned():
     return tree == PINNED_TREES["LEMMA_TP1"]
 
 
+def _leaf_set(res, system):
+    return {tuple(box[v.name] for v in system.variables) for box in res.undecided_boxes}
+
+
+def _leaves_at_max_depth():
+    # 8 leaves, under the undecided cap, all three levels below the root
+    system = _undecidable([Variable("x", 0.0, 1.0)])
+    res = prove(system, ProverConfig(max_depth=3, min_width=0.1))
+    return res.stats.max_depth_reached == 3 and _leaf_set(res, system) == {
+        ((k / 8, (k + 1) / 8),) for k in range(8)
+    }
+
+
+def _children_split_across_contracted_widths():
+    # the leaves of TestSplitRule's y <= x case
+    system = _undecidable([Variable("x", 0.0, 1.0), Variable("y", 0.0, 4.0)], [ordering("y", "x")])
+    res = prove(system, ProverConfig(max_depth=2, min_width=0.1))
+    return _leaf_set(res, system) == {
+        ((0.0, 0.25), (0.0, 0.25)),
+        ((0.25, 0.5), (0.0, 0.5)),
+        ((0.5, 1.0), (0.0, 0.5)),
+        ((0.5, 1.0), (0.5, 1.0)),
+    }
+
+
 CHECKS = {
     "boundary counterexample found": _boundary_counterexample_found,
     "NaN midpoints do not disprove": _nan_midpoints_do_not_disprove,
     "LEMMA_TP1 tree pinned": _tp1_tree_is_pinned,
+    "leaves at max_depth": _leaves_at_max_depth,
+    "children split across contracted widths": _children_split_across_contracted_widths,
 }
 
 
@@ -530,6 +654,22 @@ def _contract_one_ulp_in(monkeypatch):
         return np.all(LO <= HI, axis=1)
 
     monkeypatch.setattr(engine, "_contract", mutant)
+
+
+def _source_mutant(name, *edits):
+    """A mutant of engine.<name>: its source with each (old, new) edit
+    made, each old text occurring exactly once."""
+
+    def apply(monkeypatch):
+        source = textwrap.dedent(inspect.getsource(getattr(engine, name)))
+        for old, new in edits:
+            assert source.count(old) == 1, old
+            source = source.replace(old, new)
+        namespace = {}
+        exec(compile(source, engine.__file__, "exec"), vars(engine), namespace)
+        monkeypatch.setattr(engine, name, namespace[name])
+
+    return apply
 
 
 class TestEngineMutants:
@@ -551,8 +691,41 @@ class TestEngineMutants:
                 lambda mp: mp.setattr(engine, "_centre", lambda lo, hi: lo + 0.4 * (hi - lo)),
                 "LEMMA_TP1 tree pinned",
             ),
+            (
+                # every lookahead box counted, its parent pruned or not
+                _source_mutant(
+                    "_search", ("else split[parent]", "else np.ones(parent.size, dtype=bool)")
+                ),
+                "LEMMA_TP1 tree pinned",
+            ),
+            (
+                _source_mutant(
+                    "_block",
+                    (
+                        "kept = _contract(LO, HI, pairs)",
+                        "raw = LO.copy(), HI.copy()\n        kept = _contract(LO, HI, pairs)",
+                    ),
+                    (
+                        "_bisect(LO[split], HI[split])",
+                        "_bisect(raw[0][kept][split], raw[1][kept][split])",
+                    ),
+                ),
+                "children split across contracted widths",
+            ),
+            (
+                # the leaf rule reads the chunk's depth on every level
+                _source_mutant("_block", ("(d >= config.max_depth)", "(depth >= config.max_depth)")),
+                "leaves at max_depth",
+            ),
         ],
-        ids=["contraction-one-ulp-in", "confirm-always-true", "midpoint-off-centre"],
+        ids=[
+            "contraction-one-ulp-in",
+            "confirm-always-true",
+            "midpoint-off-centre",
+            "lookahead-counts-pruned-parent",
+            "lookahead-splits-uncontracted-parent",
+            "lookahead-past-max-depth",
+        ],
     )
     def test_mutant_is_caught(self, monkeypatch, mutant, check):
         mutant(monkeypatch)
