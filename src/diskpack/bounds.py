@@ -6,10 +6,10 @@ F functions assemble those bounds over a whole packing state into a single
 scalar that exceeds 8/5 whenever the state could reject a square; proving
 that inequality over every admissible state is what certifies the packer.
 
-All formulas are kind-generic (floats, numpy arrays, IntervalArray).  Float
-calls enforce preconditions loudly; IntervalArray lanes evaluate both sides
-of undecided branches and hull the results, so bounds stay sound on boxes
-that straddle a case split.
+All formulas are kind-generic (floats, IntervalArray).  Float calls
+enforce preconditions loudly; IntervalArray lanes evaluate both sides of
+undecided branches and hull the results, so bounds stay sound on boxes that
+straddle a case split.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ the SVG rectangles reuse the document's exact digit strings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -311,15 +312,7 @@ def _result_row(result: ProofResult) -> "dict[str, object]":
     row: "dict[str, object]" = {
         "name": result.name,
         "status": result.status.value,
-        "boxes_explored": result.stats.boxes_explored,
-        "boxes_pruned": result.stats.boxes_pruned,
-        "max_depth_reached": result.stats.max_depth_reached,
-        "undecided_count": result.stats.undecided_count,
-        "peak_lanes": result.stats.peak_lanes,
-        "boxes_emptied": result.stats.boxes_emptied,
-        "evaluations": result.stats.evaluations,
-        "lanes_evaluated": result.stats.lanes_evaluated,
-        "wall_time_s": result.stats.wall_time_s,
+        **dataclasses.asdict(result.stats),
     }
     if result.counterexample is not None:
         row["counterexample"] = result.counterexample

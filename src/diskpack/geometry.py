@@ -2,12 +2,12 @@
 
 The unit disk is centered at the origin with y growing upward.  Every
 function here is written against the kind-generic helpers in scalars, so one
-formula body serves plain floats (packing), numpy arrays (bulk sampling) and
-IntervalArray lanes (verified enclosures).  Float arguments get strict domain
-checks; enclosures clamp partial overshoot instead, which extends each
-function continuously across the domain boundary and keeps slightly-too-wide
-boxes evaluable.  segment_area_below alone dispatches on the kind: it is
-monotone, so its enclosure evaluates the formula at the two ends of a lane.
+formula body serves plain floats (packing) and IntervalArray lanes (verified
+enclosures).  Float arguments get strict domain checks; enclosures clamp
+partial overshoot instead, which extends each function continuously across
+the domain boundary and keeps slightly-too-wide boxes evaluable.
+segment_area_below alone dispatches on the kind: it is monotone, so its
+enclosure evaluates the formula at the two ends of a lane.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def segment_area_below(c: Numeric) -> Numeric:
     horizontal line y = c, i.e. the area of {y >= c}.  Callers measuring the
     area below a cut at ordinate t pass c = -t.
 
-    Floats and arrays evaluate the formula directly.  An IntervalArray lane
+    A float evaluates the formula directly.  An IntervalArray lane
     [lo, hi] gets [f(hi), f(lo)] with both ends clamped to [-1, 1], which is
     sound because f'(c) = -2*sqrt(1 - c^2) <= 0: f is nonincreasing on
     [-1, 1], and the continuous extension the formula gives beyond the clamp

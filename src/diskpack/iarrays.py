@@ -94,9 +94,6 @@ class IntervalArray:
     def shape(self) -> "tuple[int, ...]":
         return self.lo.shape
 
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
-
     def poisoned(self) -> np.ndarray:
         return np.isnan(self.lo) | np.isnan(self.hi)
 

@@ -91,7 +91,7 @@ _OPS = {
 @dataclass(frozen=True)
 class Relation:
     """`fn(env) op bound`, evaluated on intervals (certainty masks) or on
-    real points (plain booleans).  `cheap` labels a relation on raw
+    float points (a plain bool).  `cheap` labels a relation on raw
     variables only; the engine ignores it.  `ordered` is (small, big) on a
     hypothesis small <= big between two raw variables, which the engine
     contracts every box by; set it only through ordering(), which builds
@@ -113,7 +113,7 @@ class Relation:
         _, true, false = _OPS[self.op]
         return getattr(v, true)(self.bound), getattr(v, false)(self.bound)
 
-    def holds(self, env: dict):
+    def holds(self, env: dict) -> bool:
         return _OPS[self.op][0](self.fn(env), self.bound)
 
 
@@ -134,12 +134,10 @@ class OrRelation:
             cf = pcf if cf is None else np.logical_and(cf, pcf)
         return ct, cf
 
-    def holds(self, env: dict):
-        out = None
-        for p in self.parts:
-            h = p.holds(env)
-            out = h if out is None else np.logical_or(out, h)
-        return out
+    def holds(self, env: dict) -> bool:
+        # Every part is evaluated: a part off its domain raises even when
+        # another part holds.
+        return any([p.holds(env) for p in self.parts])
 
 
 Hypothesis = Union[Relation, OrRelation]

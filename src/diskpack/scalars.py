@@ -1,11 +1,11 @@
 """Kind-generic numeric helpers.
 
-The geometric formulas are written once and evaluated over three operand
+The geometric formulas are written once and evaluated over two operand
 kinds: Python floats (the packing path and the prover's counterexample
-check), numpy float arrays (the tests' real-valued reference sampling and
-fuzz), and IntervalArray lanes (the prover's enclosures).  The helpers
-here dispatch on the operand kind so a formula body stays plain arithmetic
-plus sqrt/acos/min/max and an occasional two-way branch.
+check) and IntervalArray lanes (the prover's enclosures; a batch of real
+points is a point-lane IntervalArray).  The helpers here dispatch on the
+operand kind so a formula body stays plain arithmetic plus
+sqrt/acos/min/max and an occasional two-way branch.
 
 Branches take the two outcomes as zero-argument callables.  On the float path
 only the chosen side runs, so expressions that would leave their domain on
@@ -24,15 +24,12 @@ import numpy as np
 from .errors import DomainError
 from .iarrays import IntervalArray, _lohi
 
-Numeric = object  # float | np.ndarray | IntervalArray
+Numeric = object  # float | IntervalArray
 
 
 def sqrt(x: Numeric) -> Numeric:
     if isinstance(x, IntervalArray):
         return x.sqrt()
-    if isinstance(x, np.ndarray):
-        with np.errstate(invalid="ignore"):
-            return np.sqrt(x)
     if x < 0.0:
         raise DomainError(f"sqrt of negative value {x!r}")
     return math.sqrt(x)
@@ -41,9 +38,6 @@ def sqrt(x: Numeric) -> Numeric:
 def acos(x: Numeric) -> Numeric:
     if isinstance(x, IntervalArray):
         return x.acos()
-    if isinstance(x, np.ndarray):
-        with np.errstate(invalid="ignore"):
-            return np.arccos(x)
     if not -1.0 <= x <= 1.0:
         raise DomainError(f"arccos of value outside [-1, 1]: {x!r}")
     return math.acos(x)
@@ -60,8 +54,6 @@ def smin(a: Numeric, b: Numeric) -> Numeric:
         return a.min_with(b)
     if isinstance(b, IntervalArray):
         return b.min_with(a)
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.minimum(a, b)
     return a if a < b else b
 
 
@@ -70,8 +62,6 @@ def smax(a: Numeric, b: Numeric) -> Numeric:
         return a.max_with(b)
     if isinstance(b, IntervalArray):
         return b.max_with(a)
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.maximum(a, b)
     return a if a > b else b
 
 
@@ -86,7 +76,7 @@ def enclosure(pair: "tuple[float, float]", like: Numeric) -> Numeric:
     """An irrational constant given by its enclosing pair of doubles
     (lo, hi), kind-matched to ``like``.
 
-    On the enclosure path the full interval is kept; on real paths the
+    On the enclosure path the full interval is kept; on the float path the
     midpoint is the conventional double approximation.
     """
     lo, hi = pair
@@ -124,8 +114,6 @@ def branch_le(
     if isinstance(lhs, IntervalArray):
         rlo, rhi = _lohi(rhs)
         return _array_branch(lhs.hi <= rlo, lhs.lo > rhi, if_true, if_false)
-    if isinstance(lhs, np.ndarray):
-        return np.where(lhs <= rhs, if_true(), if_false())
     return if_true() if lhs <= rhs else if_false()
 
 
@@ -139,6 +127,4 @@ def branch_lt(
     if isinstance(lhs, IntervalArray):
         rlo, rhi = _lohi(rhs)
         return _array_branch(lhs.hi < rlo, lhs.lo >= rhi, if_true, if_false)
-    if isinstance(lhs, np.ndarray):
-        return np.where(lhs < rhs, if_true(), if_false())
     return if_true() if lhs < rhs else if_false()

@@ -11,9 +11,10 @@ Two families live here:
   enclose the exact image of the whole lane (rational arithmetic, or mpmath
   at 50 digits for ``acos`` and ``segment_area_below``);
 * ``hypothesis_samples`` -- random points drawn inside a catalog system's
-  variable box that satisfy *all* of its hypotheses, produced by a
-  per-system proposal distribution and filtered by the system's own
-  ``holds`` predicates so the samples cannot drift from the catalog.
+  variable box at which *all* of its hypotheses are certainly true,
+  produced by a per-system proposal distribution and filtered by the
+  system's own certainty masks on point lanes, so the samples cannot drift
+  from the catalog.
 """
 
 from __future__ import annotations
@@ -394,6 +395,9 @@ def _enforce_chain(h: np.ndarray) -> np.ndarray:
     return h
 
 
+_point = IntervalArray.from_point
+
+
 def _propose_tp(rng: np.random.Generator, batch: int) -> "dict[str, np.ndarray]":
     return {"s1": rng.uniform(_S1_LO, _S1_HI, batch)}
 
@@ -405,22 +409,22 @@ def _propose_sc(k: int, sigma_gated: bool):
             # budget only opens near the small end of the s1 range.
             s1_hi = {5: 0.44, 6: 0.38, 7: 0.312}[k]
             s1 = rng.uniform(0.295, s1_hi, batch)
-            sig = sigma(s1)
-            ti = T_inv(s1)
+            sig = sigma(_point(s1)).lo
+            ti = T_inv(_point(s1)).lo
             slack = np.maximum((1.0 + ti) - k * sig, 0.0)
             fill = rng.uniform(0.55, 0.9995, batch)
             h = sig[:, None] + _descending_partition(rng, slack * fill, k)
         else:
             s1 = rng.uniform(_S1_LO, _S1_HI, batch)
             sig = None
-            ti = T_inv(s1)
+            ti = T_inv(_point(s1)).lo
             fill = rng.uniform(0.55, 0.9995, batch)
             h = _descending_partition(rng, (1.0 + ti) * fill, k)
         caps = np.minimum(s1, np.inf)[:, None] * np.ones(k)
         for i in range(k):
             caps[:, i] = np.minimum(s1, _height_cap(i + 1)) * (1.0 - 1e-12)
         h = _enforce_chain(np.minimum(h, caps))
-        z = z_below(s1, [h[:, i] for i in range(k)])
+        z = z_below(_point(s1), [_point(h[:, i]) for i in range(k)]).lo
         sn_lo = z if sig is None else np.maximum(z, sig)
         sn_hi = np.minimum(h[:, -1], _height_cap(k))
         u = rng.uniform(1e-6, 1.0 - 1e-6, batch)
@@ -436,7 +440,7 @@ def _propose_sc(k: int, sigma_gated: bool):
 
 def _propose_msc_neg(rng: np.random.Generator, batch: int) -> "dict[str, np.ndarray]":
     s1 = rng.uniform(_S1_LO, _S1_HI, batch)
-    ti = T_inv(s1)
+    ti = T_inv(_point(s1)).lo
     # H4 = 1 + ti - (h1+h2+h3) must land in [0, 1]: target the sum directly.
     target = ti + rng.uniform(0.0, 1.0, batch)
     target = np.clip(target, 0.0, None)
@@ -450,7 +454,7 @@ def _propose_msc_neg(rng: np.random.Generator, batch: int) -> "dict[str, np.ndar
 def _propose_msc_pos(rng: np.random.Generator, batch: int) -> "dict[str, np.ndarray]":
     # room = T_inv(s1) - (h1+h2+h3) > 0 needs T_inv(s1) > 0, so s1 < 2/sqrt(5).
     s1 = rng.uniform(0.295, 0.894, batch)
-    ti = T_inv(s1)
+    ti = T_inv(_point(s1)).lo
     fill = rng.uniform(0.05, 0.98, batch)
     h = _descending_partition(rng, np.maximum(ti, 0.0) * fill, 3)
     caps = np.stack(
@@ -471,7 +475,10 @@ def _propose_msc_pos(rng: np.random.Generator, batch: int) -> "dict[str, np.ndar
 
 
 def proposer_for(name: str):
-    """Proposal distribution for a catalog system, keyed by its name."""
+    """Proposal distribution for a catalog system, keyed by its name.  The
+    formulas a proposer needs are evaluated on point lanes and their lower
+    ends taken; a proposal is only a candidate, which the certainty masks
+    accept or reject."""
     if name.startswith("LEMMA_TP"):
         return _propose_tp
     if name.startswith("LEMMA_SC"):
@@ -491,11 +498,13 @@ def hypothesis_samples(
     batch: int = 20000,
     max_rounds: int = 2000,
 ) -> "dict[str, np.ndarray]":
-    """``n`` random points in the variable box satisfying every hypothesis.
+    """``n`` random points in the variable box at which every hypothesis is
+    certainly true.
 
-    Candidates come from the system's proposal distribution; acceptance is
-    decided solely by the system's own ``holds`` predicates plus box
-    membership, so these samples track the catalog by construction.
+    Candidates come from the system's proposal distribution and are
+    evaluated as point lanes; acceptance is decided solely by the system's
+    own certainly-true masks plus box membership, so these samples track
+    the catalog by construction.
     """
     rng = np.random.default_rng(seed)
     propose = proposer_for(system.name)
@@ -503,12 +512,12 @@ def hypothesis_samples(
     got = 0
     for _ in range(max_rounds):
         raw = propose(rng, batch)
-        env = system.prepare(dict(raw)) if system.prepare else dict(raw)
+        env = _point_env(system, raw)
         mask = np.ones(batch, bool)
         for v in system.variables:
             mask &= (raw[v.name] >= v.lo) & (raw[v.name] <= v.hi)
         for hyp in system.hypotheses:
-            mask &= np.asarray(hyp.holds(env), bool)
+            mask &= hyp.certs(env)[0]
         if mask.any():
             for name in kept:
                 kept[name].append(raw[name][mask])
@@ -521,7 +530,21 @@ def hypothesis_samples(
     )
 
 
+def _point_env(system, values: "dict[str, np.ndarray]") -> dict:
+    env = {name: _point(v) for name, v in values.items()}
+    return system.prepare(env) if system.prepare else env
+
+
 def conclusion_values(system, samples: "dict[str, np.ndarray]") -> np.ndarray:
-    """Real (float) values of the system's conclusion quantity at samples."""
-    env = system.prepare(dict(samples)) if system.prepare else dict(samples)
-    return np.asarray(system.conclusion.fn(env), float)
+    """The certified end of the system's conclusion quantity at each sample,
+    evaluated as a point lane: the lower end for a ``>`` conclusion, the
+    upper end for ``<=``.  The conclusion is certified at a sample exactly
+    where that end meets the bound."""
+    v = system.conclusion.fn(_point_env(system, samples))
+    return v.lo if system.conclusion.op in (">", ">=") else v.hi
+
+
+def sample_points(samples: "dict[str, np.ndarray]") -> "list[dict[str, float]]":
+    """Each sample as a dict of floats, for the float formulas."""
+    names = list(samples)
+    return [dict(zip(names, map(float, row))) for row in zip(*samples.values())]

@@ -404,7 +404,7 @@ def test_criterion_9_bound_function_sampling():
         9,
         ok,
         f"{count} hypothesis-satisfying samples across 9 bound systems all "
-        f"evaluate > 8/5; tightest minimum {worst[1]:.6f} at {worst[0]}, "
+        f"certify > 8/5 on point lanes; tightest minimum {worst[1]:.6f} at {worst[0]}, "
         f"in {elapsed:.1f}s",
     )
     assert ok

@@ -12,7 +12,7 @@ from diskpack.iarrays import IntervalArray
 from diskpack.prover import lemma_catalog
 from diskpack.scalars import smax
 
-from fuzzers import hypothesis_samples
+from fuzzers import hypothesis_samples, sample_points
 
 
 def _lane(lo: float, hi: float) -> IntervalArray:
@@ -52,12 +52,6 @@ class TestB2:
         assert B2(1.0, 1.8, 0.5) == pytest.approx(1.25)  # square + h_next block
         assert B2(1.0, 3.0, 0.5) == pytest.approx(1.75)  # wide: B1
 
-    def test_array_matches_float_per_lane(self):
-        ws = np.array([1.2, 1.8, 3.0])
-        out = B2(1.0, ws, 0.5)
-        expect = np.array([B2(1.0, float(w), 0.5) for w in ws])
-        assert np.allclose(out, expect, atol=1e-12)
-
     def test_interval_straddling_branch_hulls_both_sides(self):
         # w spans the lone/pair boundary at h + h_next = 1.5.
         out = B2(_point(1.0), _lane(1.4, 1.6), _point(0.5))
@@ -78,16 +72,16 @@ class TestB3B4:
 
 def _b4_layers() -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """(a, h, w, h_next) of every B4 layer of sampled LEMMA_SC3 states, laid
-    out as F_SC lays them out."""
-    s = hypothesis_samples(_system("LEMMA_SC3"), 40, seed=21)
-    heights = [s["h1"], s["h2"], s["h3"], s["sn"]]
-    a = T_inv(s["s1"])
-    layers = []
-    for i in range(3):
-        h, h_next = heights[i], heights[i + 1]
-        layers.append((a, h, chord_width(a, h), h_next))
-        a = a - h
-    return tuple(np.concatenate(col) for col in zip(*layers))
+    out as F_SC lays them out, one row per layer."""
+    rows = []
+    for p in sample_points(hypothesis_samples(_system("LEMMA_SC3"), 40, seed=21)):
+        heights = [p["h1"], p["h2"], p["h3"], p["sn"]]
+        a = T_inv(p["s1"])
+        for i in range(3):
+            h, h_next = heights[i], heights[i + 1]
+            rows.append((a, h, chord_width(a, h), h_next))
+            a = a - h
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 def _straddling_lanes(a, h, w, hn) -> "tuple[IntervalArray, ...]":
@@ -124,9 +118,6 @@ class TestB4SharedSquares:
         a, h, w, hn = _b4_layers()
         for i in range(len(a)):
             self._check(float(a[i]), float(h[i]), float(w[i]), float(hn[i]))
-
-    def test_ndarrays(self):
-        self._check(*_b4_layers())
 
     def test_many_lane_points_and_boxes(self):
         a, h, w, hn = _b4_layers()
@@ -225,15 +216,14 @@ class TestFSC:
 
     def test_exceeds_critical_area_at_sampled_states(self):
         for name, k in [("LEMMA_SC1", 1), ("LEMMA_SC3", 3)]:
-            s = hypothesis_samples(_system(name), 200, seed=5)
-            heights = [s[f"h{i + 1}"] for i in range(k)]
-            vals = F_SC(s["s1"], heights, s["sn"])
-            assert np.all(vals > 1.6)
+            for p in sample_points(hypothesis_samples(_system(name), 200, seed=5)):
+                assert F_SC(p["s1"], [p[f"h{i + 1}"] for i in range(k)], p["sn"]) > 1.6
 
 
 class TestKindCoherence:
-    """Float evaluation always lands inside the enclosure evaluations, of
-    the whole batch and of each state as a one-lane IntervalArray."""
+    """Float evaluation of each state always lands inside the enclosure
+    evaluations, of the whole batch and of the state as a one-lane
+    IntervalArray."""
 
     @pytest.mark.parametrize("name", ["LEMMA_SC1", "LEMMA_SC4", "LEMMA_SC6_SIGMA"])
     def test_f_sc(self, name):
@@ -242,7 +232,10 @@ class TestKindCoherence:
         include_e = not name.endswith("_SIGMA")
         s = hypothesis_samples(system, 25, seed=9)
         pts = np.arange(25)
-        f = F_SC(s["s1"], [s[f"h{i+1}"] for i in range(k)], s["sn"], include_e)
+        f = np.array([
+            F_SC(p["s1"], [p[f"h{i+1}"] for i in range(k)], p["sn"], include_e)
+            for p in sample_points(s)
+        ])
         ia = F_SC(
             IntervalArray.from_point(s["s1"]),
             [IntervalArray.from_point(s[f"h{i+1}"]) for i in range(k)],
@@ -260,18 +253,19 @@ class TestKindCoherence:
             assert iv.lo[0] <= f[i] <= iv.hi[0]
 
     def test_f_msc1(self):
+        names = ("s1", "h1", "h2", "h3", "h4")
         s = hypothesis_samples(_system("LEMMA_MSC_NEG"), 25, seed=13)
-        f = F_MSC1(s["s1"], s["h1"], s["h2"], s["h3"], s["h4"])
-        ia = F_MSC1(*[IntervalArray.from_point(s[n]) for n in ("s1", "h1", "h2", "h3", "h4")])
+        f = np.array([F_MSC1(*[p[n] for n in names]) for p in sample_points(s)])
+        ia = F_MSC1(*[IntervalArray.from_point(s[n]) for n in names])
         assert np.all(ia.lo <= f) and np.all(f <= ia.hi)
         for i in range(8):
-            iv = F_MSC1(*[_point(float(s[n][i])) for n in ("s1", "h1", "h2", "h3", "h4")])
+            iv = F_MSC1(*[_point(float(s[n][i])) for n in names])
             assert iv.lo[0] <= f[i] <= iv.hi[0]
 
     def test_f_msc2(self):
         names = ("s1", "h1", "h2", "h3", "h_jnext", "delta_y")
         s = hypothesis_samples(_system("LEMMA_MSC_POS"), 25, seed=17)
-        f = F_MSC2(*[s[n] for n in names])
+        f = np.array([F_MSC2(*[p[n] for n in names]) for p in sample_points(s)])
         ia = F_MSC2(*[IntervalArray.from_point(s[n]) for n in names])
         assert np.all(ia.lo <= f) and np.all(f <= ia.hi)
         for i in range(8):

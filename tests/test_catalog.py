@@ -18,7 +18,7 @@ from diskpack.prover import (
 from diskpack.prover import engine
 from diskpack.prover.engine import OrRelation, Relation
 
-from fuzzers import conclusion_values, hypothesis_samples
+from fuzzers import conclusion_values, hypothesis_samples, sample_points
 
 
 CATALOG = {s.name: s for s in lemma_catalog()}
@@ -123,11 +123,13 @@ class TestStructure:
 class TestSamples:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_samples_satisfy_every_hypothesis(self, name):
+        # certified on point lanes, and true in floats at every sample
         system = CATALOG[name]
         s = hypothesis_samples(system, 500, seed=101)
-        env = system.prepare(dict(s)) if system.prepare else dict(s)
-        for hyp in system.hypotheses:
-            assert np.asarray(hyp.holds(env)).all(), hyp.label
+        for point in sample_points(s):
+            env = system.prepare(point) if system.prepare else point
+            for hyp in system.hypotheses:
+                assert hyp.holds(env), (hyp.label, point)
         for v in system.variables:
             assert np.all(s[v.name] >= v.lo) and np.all(s[v.name] <= v.hi)
 
@@ -141,14 +143,17 @@ class TestSamples:
             assert np.all(vals > system.conclusion.bound)
         else:
             assert np.all(vals <= system.conclusion.bound)
+        for point in sample_points(s):
+            env = system.prepare(point) if system.prepare else point
+            assert system.conclusion.holds(env), point
 
     def test_sigma_variants_sample_above_pocket(self):
         s = hypothesis_samples(CATALOG["LEMMA_SC6_SIGMA"], 300, seed=7)
-        assert np.all(s["sn"] > sigma(s["s1"]))
+        assert all(p["sn"] > sigma(p["s1"]) for p in sample_points(s))
 
     def test_plain_variants_allow_pocket_sized_failures(self):
         s = hypothesis_samples(CATALOG["LEMMA_SC2"], 2000, seed=7)
-        assert (s["sn"] < sigma(s["s1"])).any()
+        assert any(p["sn"] < sigma(p["s1"]) for p in sample_points(s))
 
 
 def _boxes_around(rng, system, samples, count):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -26,7 +27,7 @@ from diskpack.cli import (
 from diskpack.errors import ParseError
 from diskpack.geometry import PlacedSquare
 from diskpack.packer import Instance, Packing, PackResult, validate
-from diskpack.prover import ProverConfig, lemma_names, prove
+from diskpack.prover import ProofStats, ProverConfig, lemma_catalog, lemma_names, prove
 
 
 def _doc(placements, case="C3"):
@@ -260,6 +261,13 @@ class TestProve:
         for entry in data["lemmas"]:
             assert entry["status"] == "proved", entry["name"]
             assert entry["undecided_count"] == 0, entry["name"]
+
+    def test_report_rows_carry_every_stats_field(self):
+        for name in ("LEMMA_TP1", "LEMMA_TP2"):
+            result = prove(next(s for s in lemma_catalog() if s.name == name))
+            row = cli._result_row(result)
+            for field in dataclasses.fields(ProofStats):
+                assert row[field.name] == getattr(result.stats, field.name), field.name
 
     def test_unknown_lemma_lists_catalog(self, capsys):
         assert main(["prove", "--lemma", "LEMMA_NOPE"]) == EXIT_INPUT

@@ -74,7 +74,7 @@ class TestConstruction:
         v = np.array([0.5, -2.0, 0.0])
         x = IntervalArray.from_point(v)
         assert np.array_equal(x.lo, v) and np.array_equal(x.hi, v)
-        assert np.all(x.widths() == 0.0)
+        assert np.all(x.hi - x.lo == 0.0)
 
     def test_constant_broadcasts(self):
         x = IntervalArray.constant(-1.0, 2.0, 5)
@@ -83,7 +83,7 @@ class TestConstruction:
 
     def test_widths(self):
         x = IntervalArray(np.array([0.0, -1.0]), np.array([1.0, 3.0]))
-        assert np.array_equal(x.widths(), np.array([1.0, 4.0]))
+        assert np.array_equal(x.hi - x.lo, np.array([1.0, 4.0]))
 
 
 class TestScalarFastPaths:

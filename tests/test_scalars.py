@@ -29,7 +29,6 @@ def _arr(lo, hi):
 class TestElementaryDispatch:
     def test_sqrt_per_kind(self):
         assert sqrt(4.0) == 2.0
-        assert np.allclose(sqrt(np.array([4.0, 9.0])), [2.0, 3.0])
         ia = sqrt(_arr([4.0], [9.0]))
         assert ia.lo[0] <= 2.0 and ia.hi[0] >= 3.0
 
@@ -37,13 +36,8 @@ class TestElementaryDispatch:
         with pytest.raises(DomainError):
             sqrt(-1.0)
 
-    def test_sqrt_array_negative_is_nan_not_error(self):
-        out = sqrt(np.array([-1.0, 4.0]))
-        assert np.isnan(out[0]) and out[1] == 2.0
-
     def test_acos_per_kind(self):
         assert acos(1.0) == 0.0
-        assert np.allclose(acos(np.array([1.0, -1.0])), [0.0, math.pi])
         ia = acos(_arr([0.0], [1.0]))
         assert ia.lo[0] <= 0.0 and ia.hi[0] >= math.pi / 2
 
@@ -53,14 +47,10 @@ class TestElementaryDispatch:
 
     def test_square_per_kind(self):
         assert square(-3.0) == 9.0
-        assert np.array_equal(square(np.array([-3.0])), np.array([9.0]))
         assert square(_arr([-3.0], [2.0])).lo[0] == 0.0
 
     def test_smin_smax_per_kind(self):
         assert smin(1.0, 2.0) == 1.0 and smax(1.0, 2.0) == 2.0
-        a = np.array([1.0, 5.0])
-        assert np.array_equal(smin(a, 2.0), np.array([1.0, 2.0]))
-        assert np.array_equal(smax(a, 2.0), np.array([2.0, 5.0]))
         ia = smin(_arr([0.0], [3.0]), 1.0)
         assert ia.lo[0] <= 0.0 and ia.hi[0] >= 1.0
         ia = smax(_arr([0.0], [3.0]), _arr([1.0], [2.0]))
@@ -100,11 +90,6 @@ class TestFloatBranch:
         assert branch_le(3.0, 2.0, boom, lambda: "high") == "high"
         assert branch_lt(1.0, 1.0, boom, lambda: "ge") == "ge"
         assert branch_le(1.0, 1.0, lambda: "le", boom) == "le"
-
-    def test_array_branch_selects_per_lane(self):
-        lhs = np.array([0.0, 2.0])
-        out = branch_le(lhs, 1.0, lambda: lhs + 10.0, lambda: lhs - 10.0)
-        assert np.array_equal(out, np.array([10.0, -8.0]))
 
 
 class TestIntervalBranch:
