@@ -11,14 +11,14 @@ families.
   the accounted area F_SC exceeds 8/5.  For k >= 5 the failed side also
   exceeds the pocket capacity (sigma < sn) and the pocket credit is dropped.
 * MSC — when five or more subcontainers exist and the failed side fits the
-  pocket, the accounting splits on where the third subcontainer ends:
-  F_MSC1 covers a bottom at or below the center, F_MSC2 a bottom above it.
+  pocket: F_MSC1 exceeds 8/5 wherever the third subcontainer ends, and
+  F_MSC2 does too when its bottom lies above the center.
 
-Hypotheses that order two raw variables are declared with
-engine.ordering(), so the engine contracts every box by them before it
-evaluates anything; they are also labelled cheap, a label the engine
-ignores.  The engine then evaluates every hypothesis, in the order given,
-in one pass after prepare().
+Each system orders its raw variables in one chain from the largest down,
+declared as its `orderings`: the engine contracts every box by them before
+it evaluates anything, and evaluates them nowhere else.  The engine then
+evaluates every hypothesis, in the order given, in one pass after
+prepare().
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .. import bounds
 from ..geometry import CONSTANTS, T_inv, chord_width, ell1, sigma, z_below
 from ..packer import _C1_POCKET, _C2_MAX_S1, _C2_TOP4_AREA
 from ..scalars import square
-from .engine import ConstraintSystem, OrRelation, Relation, Variable, ordering
+from .engine import ConstraintSystem, OrRelation, Relation, Variable
 
 # Box endpoints are nudged outward so every verified box strictly contains
 # the stated real range: s1 from the packer's C1 threshold to sqrt(8/5).
@@ -43,7 +43,8 @@ _CRITICAL = CONSTANTS.critical_area
 # Heights satisfy h_1 >= ... >= h_k and sum(h_i) <= 1 + T_inv(s1)
 # <= 1 + T_inv(0.295) < 1.695, hence h_i <= 1.695/i; no side exceeds
 # sqrt(8/5).  The caps only shrink the search box - the inequalities stay
-# enforced as hypotheses.
+# enforced as orderings and hypotheses.  LEMMA_SC1 states no height sum:
+# its caps, h1 and sn at most sqrt(8/5), follow from the chain alone.
 _HSUM_CAP = 1.695
 
 
@@ -51,9 +52,9 @@ def _height_cap(i: int) -> float:
     return min(_S1_HI, _HSUM_CAP / i)
 
 
-def _chain(*names: str) -> "list[Relation]":
-    """Hypotheses names[0] >= names[1] >= ..., declared for contraction."""
-    return [ordering(small, big) for big, small in zip(names, names[1:])]
+def _chain(*names: str) -> "list[tuple[str, str]]":
+    """The orderings names[0] >= names[1] >= ..., as (small, big) pairs."""
+    return [(small, big) for big, small in zip(names, names[1:])]
 
 
 def _tp_system(which: int) -> ConstraintSystem:
@@ -82,23 +83,26 @@ def _sc_system(k: int, sn_above_pocket: bool) -> ConstraintSystem:
     variables += [Variable(hnames[i - 1], 0.0, _height_cap(i)) for i in range(1, k + 1)]
     variables.append(Variable("sn", 0.0, _height_cap(k)))
 
+    # SC1 states no height sum and SC6/7 no z < sn: the same trees, stronger lemmas.
     def prep(env: dict) -> dict:
         e = dict(env)
         heights = [e[n] for n in hnames]
         e["ti"] = T_inv(e["s1"])
-        e["hsum"] = sum(heights)
-        e["z"] = z_below(e["s1"], heights)
+        if k > 1:
+            e["hsum"] = sum(heights)
+        if k <= 5:
+            e["z"] = z_below(e["s1"], heights)
         if sn_above_pocket:
             e["sig"] = sigma(e["s1"])
         if k == 1:
             e["w1"] = chord_width(e["ti"], e["h1"])
         return e
 
-    hyps: "list[object]" = _chain("s1", *hnames, "sn")
-    hyps.append(
-        Relation("sum(h) <= 1 + T_inv(s1)", lambda e: e["hsum"] - e["ti"], "<=", 1.0)
-    )
-    hyps.append(Relation("z < sn", lambda e: e["z"] - e["sn"], "<", 0.0))
+    hyps: "list[object]" = []
+    if k > 1:
+        hyps.append(Relation("sum(h) <= 1 + T_inv(s1)", lambda e: e["hsum"] - e["ti"], "<=", 1.0))
+    if k <= 5:
+        hyps.append(Relation("z < sn", lambda e: e["z"] - e["sn"], "<", 0.0))
     if sn_above_pocket:
         hyps.append(Relation("sigma < sn", lambda e: e["sig"] - e["sn"], "<", 0.0))
     if k == 1:
@@ -132,6 +136,7 @@ def _sc_system(k: int, sn_above_pocket: bool) -> ConstraintSystem:
         hypotheses=tuple(hyps),
         conclusion=Relation("F_SC > 8/5", concl_fn, ">", _CRITICAL),
         prepare=prep,
+        orderings=tuple(_chain("s1", *hnames, "sn")),
     )
 
 
@@ -143,20 +148,18 @@ def _msc_neg_system() -> ConstraintSystem:
         Variable("h3", 0.0, _height_cap(3)),
         Variable("h4", 0.0, _height_cap(3)),  # h4 <= h3
     )
-    hyps: "list[object]" = _chain("s1", "h1", "h2", "h3", "h4")
 
+    # H4, the height left below the third subcontainer, has no upper bound:
+    # the lemma covers any bottom of the third subcontainer.
     def prep(env: dict) -> dict:
         e = dict(env)
         e["H4"] = 1 + T_inv(e["s1"]) - e["h1"] - e["h2"] - e["h3"]
         return e
 
-    hyps.append(Relation("H4 >= 0", lambda e: e["H4"], ">=", 0.0))
-    hyps.append(Relation("H4 <= 1", lambda e: e["H4"], "<=", 1.0))
-
     return ConstraintSystem(
         name="LEMMA_MSC_NEG",
         variables=variables,
-        hypotheses=tuple(hyps),
+        hypotheses=(Relation("H4 >= 0", lambda e: e["H4"], ">=", 0.0),),
         conclusion=Relation(
             "F_MSC1 > 8/5",
             lambda e: bounds.F_MSC1(e["s1"], e["h1"], e["h2"], e["h3"], e["h4"]),
@@ -164,6 +167,7 @@ def _msc_neg_system() -> ConstraintSystem:
             _CRITICAL,
         ),
         prepare=prep,
+        orderings=tuple(_chain("s1", "h1", "h2", "h3", "h4")),
     )
 
 
@@ -180,20 +184,16 @@ def _msc_pos_system() -> ConstraintSystem:
         Variable("h_jnext", 0.0, 0.232),
         Variable("delta_y", 0.0, 0.232),
     )
-    hyps: "list[object]" = _chain("s1", "h1", "h2", "h3", "h_jnext")
-    hyps.append(ordering("delta_y", "h3"))
 
     def prep(env: dict) -> dict:
         e = dict(env)
         e["room"] = T_inv(e["s1"]) - e["h1"] - e["h2"] - e["h3"]
         return e
 
-    hyps.append(Relation("T_inv(s1) - h1 - h2 - h3 > 0", lambda e: e["room"], ">", 0.0))
-
     return ConstraintSystem(
         name="LEMMA_MSC_POS",
         variables=variables,
-        hypotheses=tuple(hyps),
+        hypotheses=(Relation("T_inv(s1) - h1 - h2 - h3 > 0", lambda e: e["room"], ">", 0.0),),
         conclusion=Relation(
             "F_MSC2 > 8/5",
             lambda e: bounds.F_MSC2(
@@ -203,6 +203,7 @@ def _msc_pos_system() -> ConstraintSystem:
             _CRITICAL,
         ),
         prepare=prep,
+        orderings=(*_chain("s1", "h1", "h2", "h3", "h_jnext"), ("delta_y", "h3")),
     )
 
 

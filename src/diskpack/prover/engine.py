@@ -1,16 +1,16 @@
 """Branch-and-prune proving of inequalities over boxes.
 
 A ConstraintSystem states: for all variable values in the given ranges that
-satisfy every hypothesis, the conclusion holds.  prove() explores the range
-box with interval arithmetic: a sub-box is discarded when some hypothesis
-certainly fails on it or the conclusion certainly holds on it; otherwise it
-is bisected.
+satisfy every ordering and hypothesis, the conclusion holds.  prove()
+explores the range box with interval arithmetic: a sub-box is discarded
+when some hypothesis certainly fails on it or the conclusion certainly
+holds on it; otherwise it is bisected.
 
 Before anything is evaluated on a box, the box is contracted by the
-hypotheses that order two raw variables (declared with ordering()): for
-small <= big, hi[small] drops to hi[big] and lo[big] rises to lo[small].
+system's orderings, small <= big on two raw variables, which nothing else
+evaluates: hi[small] drops to hi[big] and lo[big] rises to lo[small].
 Contraction takes the min or max of existing doubles, so nothing is
-rounded, and it removes only points that violate a hypothesis; a box left
+rounded, and it removes only points that violate an ordering; a box left
 with lo > hi on some variable holds no such point and is pruned.  The upper
 ends are narrowed in declaration order and the lower ends in reverse, so
 one pass reaches the fixpoint of a chain declared from its largest
@@ -92,17 +92,14 @@ _OPS = {
 class Relation:
     """`fn(env) op bound`, evaluated on intervals (certainty masks) or on
     float points (a plain bool).  `cheap` labels a relation on raw
-    variables only; the engine ignores it.  `ordered` is (small, big) on a
-    hypothesis small <= big between two raw variables, which the engine
-    contracts every box by; set it only through ordering(), which builds
-    `fn` to match."""
+    variables only; the engine ignores it and only the benchmark's spans
+    read it."""
 
     label: str
     fn: Callable[[dict], object]
     op: str
     bound: float = 0.0
     cheap: bool = False
-    ordered: Optional["tuple[str, str]"] = None
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
@@ -114,7 +111,12 @@ class Relation:
         return getattr(v, true)(self.bound), getattr(v, false)(self.bound)
 
     def holds(self, env: dict) -> bool:
-        return _OPS[self.op][0](self.fn(env), self.bound)
+        """The relation at a float point; a value that is not finite, which
+        no comparison can settle, raises FloatingPointError."""
+        v = self.fn(env)
+        if not math.isfinite(v):
+            raise FloatingPointError(f"relation {self.label!r}: value {v!r}")
+        return _OPS[self.op][0](v, self.bound)
 
 
 @dataclass(frozen=True)
@@ -143,19 +145,6 @@ class OrRelation:
 Hypothesis = Union[Relation, OrRelation]
 
 
-def ordering(small: str, big: str) -> Relation:
-    """The hypothesis small <= big on two raw variables, labelled cheap and
-    declared for contraction."""
-    return Relation(
-        f"{small} <= {big}",
-        lambda e: e[small] - e[big],
-        "<=",
-        0.0,
-        cheap=True,
-        ordered=(small, big),
-    )
-
-
 # Most lanes one chunk holds (a block with lookahead levels holds at most a
 # quarter of that), and how many undecided boxes end a search early as
 # UNDECIDED.
@@ -167,6 +156,12 @@ UNDECIDED_CAP = 64
 class ProverConfig:
     max_depth: int = 60
     min_width: float = 1e-4
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.max_depth, int) or self.max_depth < 0:
+            raise ContractError(f"max_depth must be an int >= 0, not {self.max_depth!r}")
+        if not (math.isfinite(self.min_width) and self.min_width > 0):
+            raise ContractError(f"min_width must be finite and > 0, not {self.min_width!r}")
 
 
 class ProofStatus(enum.Enum):
@@ -199,15 +194,17 @@ class ProofResult:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """For all assignments in the variable ranges satisfying every
-    hypothesis, the conclusion holds.  prepare() may add derived entries to
-    the environment; it runs before every hypothesis and the conclusion."""
+    """For all assignments in the variable ranges satisfying every ordering
+    (small, big), small <= big on two raw variables, and every hypothesis,
+    the conclusion holds.  prepare() may add derived entries to the
+    environment; it runs before every hypothesis and the conclusion."""
 
     name: str
     variables: "tuple[Variable, ...]"
     hypotheses: "tuple[Hypothesis, ...]"
     conclusion: Relation
     prepare: Optional[Callable[[dict], dict]] = None
+    orderings: "tuple[tuple[str, str], ...]" = ()
 
 
 def _env_from(system: ConstraintSystem, lo: np.ndarray, hi: np.ndarray) -> dict:
@@ -229,10 +226,12 @@ def _compact_env(env: dict, keep: np.ndarray) -> dict:
 
 
 def confirm_counterexample(system: ConstraintSystem, point: "dict[str, float]") -> bool:
-    """True iff the real point satisfies every hypothesis and violates the
-    conclusion (domain errors and float division by zero or overflow count
-    as not confirmed)."""
+    """True iff the real point meets every ordering and hypothesis and
+    violates the conclusion (domain errors, float division by zero and a
+    relation value that is not finite count as not confirmed)."""
     env = {v.name: float(point[v.name]) for v in system.variables}
+    if not all(env[small] <= env[big] for small, big in system.orderings):
+        return False
     try:
         env = _prepared(system, env)
         for rel in system.hypotheses:
@@ -256,16 +255,13 @@ def _centre(lo, hi):
 
 
 def _orderings(system: ConstraintSystem) -> "list[tuple[int, int]]":
-    """(small, big) column pairs of the hypotheses declared by ordering()."""
+    """(small, big) column pairs of the system's orderings."""
     col = {v.name: j for j, v in enumerate(system.variables)}
-    pairs = []
-    for rel in system.hypotheses:
-        if isinstance(rel, Relation) and rel.ordered is not None:
-            unknown = [n for n in rel.ordered if n not in col]
-            if unknown:
-                raise ContractError(f"relation {rel.label!r}: no variable {unknown[0]!r}")
-            pairs.append((col[rel.ordered[0]], col[rel.ordered[1]]))
-    return pairs
+    for pair in system.orderings:
+        unknown = [n for n in pair if n not in col]
+        if unknown:
+            raise ContractError(f"ordering {pair[0]} <= {pair[1]}: no variable {unknown[0]!r}")
+    return [(col[small], col[big]) for small, big in system.orderings]
 
 
 def _contract(LO: np.ndarray, HI: np.ndarray, pairs: "list[tuple[int, int]]") -> np.ndarray:

@@ -11,10 +11,10 @@ Two families live here:
   enclose the exact image of the whole lane (rational arithmetic, or mpmath
   at 50 digits for ``acos`` and ``segment_area_below``);
 * ``hypothesis_samples`` -- random points drawn inside a catalog system's
-  variable box at which *all* of its hypotheses are certainly true,
-  produced by a per-system proposal distribution and filtered by the
-  system's own certainty masks on point lanes, so the samples cannot drift
-  from the catalog.
+  variable box that meet *all* of its orderings and at which all of its
+  hypotheses are certainly true, produced by a per-system proposal
+  distribution and filtered by the system's own orderings and certainty
+  masks on point lanes, so the samples cannot drift from the catalog.
 """
 
 from __future__ import annotations
@@ -425,7 +425,12 @@ def _propose_sc(k: int, sigma_gated: bool):
             caps[:, i] = np.minimum(s1, _height_cap(i + 1)) * (1.0 - 1e-12)
         h = _enforce_chain(np.minimum(h, caps))
         z = z_below(_point(s1), [_point(h[:, i]) for i in range(k)]).lo
-        sn_lo = z if sig is None else np.maximum(z, sig)
+        if sig is None:
+            sn_lo = z
+        elif k >= 6:  # LEMMA_SC6/7_SIGMA state no z < sn
+            sn_lo = sig
+        else:
+            sn_lo = np.maximum(z, sig)
         sn_hi = np.minimum(h[:, -1], _height_cap(k))
         u = rng.uniform(1e-6, 1.0 - 1e-6, batch)
         sn = sn_lo + u * (sn_hi - sn_lo)
@@ -441,9 +446,8 @@ def _propose_sc(k: int, sigma_gated: bool):
 def _propose_msc_neg(rng: np.random.Generator, batch: int) -> "dict[str, np.ndarray]":
     s1 = rng.uniform(_S1_LO, _S1_HI, batch)
     ti = T_inv(_point(s1)).lo
-    # H4 = 1 + ti - (h1+h2+h3) must land in [0, 1]: target the sum directly.
-    target = ti + rng.uniform(0.0, 1.0, batch)
-    target = np.clip(target, 0.0, None)
+    # H4 = 1 + ti - (h1+h2+h3) must be >= 0: target the sum directly.
+    target = rng.uniform(0.0, 1.0, batch) * (1.0 + ti)
     h = _descending_partition(rng, target, 3)
     caps = np.stack([np.minimum(s1, _height_cap(i)) for i in (1, 2, 3)], axis=1)
     h = _enforce_chain(np.minimum(h, caps * (1.0 - 1e-12)))
@@ -498,13 +502,13 @@ def hypothesis_samples(
     batch: int = 20000,
     max_rounds: int = 2000,
 ) -> "dict[str, np.ndarray]":
-    """``n`` random points in the variable box at which every hypothesis is
-    certainly true.
+    """``n`` random points in the variable box that meet every ordering
+    and at which every hypothesis is certainly true.
 
     Candidates come from the system's proposal distribution and are
-    evaluated as point lanes; acceptance is decided solely by the system's
-    own certainly-true masks plus box membership, so these samples track
-    the catalog by construction.
+    evaluated as point lanes; acceptance is decided solely by box
+    membership, the system's own orderings and its certainly-true masks,
+    so these samples track the catalog by construction.
     """
     rng = np.random.default_rng(seed)
     propose = proposer_for(system.name)
@@ -516,6 +520,8 @@ def hypothesis_samples(
         mask = np.ones(batch, bool)
         for v in system.variables:
             mask &= (raw[v.name] >= v.lo) & (raw[v.name] <= v.hi)
+        for small, big in system.orderings:
+            mask &= raw[small] <= raw[big]
         for hyp in system.hypotheses:
             mask &= hyp.certs(env)[0]
         if mask.any():

@@ -16,7 +16,7 @@ from diskpack.prover import (
     prove,
 )
 from diskpack.prover import engine
-from diskpack.prover.engine import OrRelation, Relation
+from diskpack.prover.engine import OrRelation
 
 from fuzzers import conclusion_values, hypothesis_samples, sample_points
 
@@ -70,9 +70,9 @@ class TestStructure:
     def test_sc_systems_chain_down_to_sn(self):
         for k in (1, 4, 7):
             name = f"LEMMA_SC{k}" if k <= 4 else f"LEMMA_SC{k}_SIGMA"
-            labels = [h.label for h in CATALOG[name].hypotheses]
-            assert f"h1 <= s1" in labels
-            assert f"sn <= h{k}" in labels
+            chain = ["s1"] + [f"h{i}" for i in range(1, k + 1)] + ["sn"]
+            expected = [(small, big) for big, small in zip(chain, chain[1:])]
+            assert list(CATALOG[name].orderings) == expected
 
     def test_sigma_gate_only_on_high_k(self):
         for k in (1, 2, 3, 4):
@@ -92,32 +92,25 @@ class TestStructure:
             )
 
     def test_orderings_are_declared_for_contraction(self):
-        # every ordering of two raw variables is declared in a structured
-        # form, from the largest variable down, and is labelled cheap
+        # every ordering names two variables and is declared apart from the
+        # hypotheses, in a chain from the largest variable down; the
+        # hypotheses are the relations that can prune
         for system in lemma_catalog():
-            ordered = [h for h in system.hypotheses if isinstance(h, Relation) and h.ordered]
-            cheap = [h for h in system.hypotheses if h.cheap]
-            assert ordered == cheap
-            assert all(h.label == "%s <= %s" % h.ordered for h in ordered)
+            names = {v.name for v in system.variables}
+            assert all(small in names and big in names for small, big in system.orderings)
+        assert sum(len(s.orderings) for s in lemma_catalog()) == 44
+        assert sum(len(s.hypotheses) for s in lemma_catalog()) == 19
         chains = {
+            "LEMMA_TP1": ["s1"],
             "LEMMA_SC3": ["s1", "h1", "h2", "h3", "sn"],
             "LEMMA_MSC_NEG": ["s1", "h1", "h2", "h3", "h4"],
             "LEMMA_MSC_POS": ["s1", "h1", "h2", "h3", "h_jnext"],
         }
         for name, chain in chains.items():
-            pairs = [h.ordered for h in CATALOG[name].hypotheses if isinstance(h, Relation) and h.ordered]
             expected = [(small, big) for big, small in zip(chain, chain[1:])]
             if name == "LEMMA_MSC_POS":
                 expected.append(("delta_y", "h3"))
-            assert pairs == expected
-
-    def test_cheap_hypotheses_are_raw_variable_relations(self):
-        # the cheap label names relations on raw variables only
-        for system in lemma_catalog():
-            raw = {v.name: 0.5 for v in system.variables}
-            for h in system.hypotheses:
-                if isinstance(h, Relation) and h.cheap:
-                    h.fn(raw)  # must not require derived entries
+            assert list(CATALOG[name].orderings) == expected
 
 
 class TestSamples:
@@ -127,6 +120,8 @@ class TestSamples:
         system = CATALOG[name]
         s = hypothesis_samples(system, 500, seed=101)
         for point in sample_points(s):
+            for small, big in system.orderings:
+                assert point[small] <= point[big], (small, big, point)
             env = system.prepare(point) if system.prepare else point
             for hyp in system.hypotheses:
                 assert hyp.holds(env), (hyp.label, point)
@@ -213,7 +208,7 @@ PINNED_TREES = {
     "LEMMA_SC5_SIGMA": (801, 401, 23),
     "LEMMA_SC6_SIGMA": (473, 237, 23),
     "LEMMA_SC7_SIGMA": (347, 174, 25),
-    "LEMMA_MSC_NEG": (255047, 127524, 28),
+    "LEMMA_MSC_NEG": (255063, 127532, 28),
     "LEMMA_MSC_POS": (1731, 866, 24),
 }
 

@@ -24,7 +24,6 @@ from diskpack.prover.engine import (
     Relation,
     Variable,
     confirm_counterexample,
-    ordering,
 )
 from diskpack.iarrays import IntervalArray
 from diskpack.scalars import sqrt, square
@@ -32,13 +31,14 @@ from diskpack.scalars import sqrt, square
 from test_catalog import CATALOG, PINNED_TREES
 
 
-def _sys(name, variables, hypotheses, conclusion, prepare=None):
+def _sys(name, variables, hypotheses, conclusion, prepare=None, orderings=()):
     return ConstraintSystem(
         name=name,
         variables=tuple(variables),
         hypotheses=tuple(hypotheses),
         conclusion=conclusion,
         prepare=prepare,
+        orderings=tuple(orderings),
     )
 
 
@@ -120,6 +120,32 @@ class TestStatuses:
         assert res.status is ProofStatus.DISPROVED
         assert res.counterexample["x"] != 0.0
         assert confirm_counterexample(system, res.counterexample)
+
+    def test_overflowing_conclusion_does_not_disprove(self):
+        # x*x overflows to inf in floats, so every midpoint's conclusion is
+        # NaN, which is no counterexample; in intervals it is never certified
+        def zero(e):
+            return e["x"] * e["x"] - e["x"] * e["x"]
+
+        system = _sys(
+            "toy_overflow",
+            [Variable("x", 1e200, 1e300)],
+            [],
+            Relation("x*x - x*x + 2 > 1", lambda e: zero(e) + 2.0, ">", 1.0),
+        )
+        assert not confirm_counterexample(system, {"x": 1e250})
+        # nor does a point whose hypothesis value is NaN meet the hypothesis
+        nan_hypothesis = dataclasses.replace(
+            system,
+            hypotheses=(Relation("x*x - x*x >= 0", zero, ">=", 0.0),),
+            conclusion=Relation("x < 0", lambda e: e["x"], "<", 0.0),
+        )
+        assert not confirm_counterexample(nan_hypothesis, {"x": 1e250})
+        assert confirm_counterexample(nan_hypothesis, {"x": 1e100})
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = prove(system, ProverConfig(max_depth=12))
+        assert res.status is ProofStatus.UNDECIDED
+        assert res.counterexample is None
 
     def test_integer_bounds_leave_no_gap(self):
         # an integer lower bound must not truncate the midpoints written
@@ -314,7 +340,7 @@ class TestPrepareAndDomains:
         )
 
 
-def _undecidable(variables, hypotheses=()):
+def _undecidable(variables, hypotheses=(), orderings=()):
     # x - x is [-w, w] on a box of width w: no box is ever decided, so the
     # leaves are exactly where the split rule stops
     return _sys(
@@ -322,6 +348,7 @@ def _undecidable(variables, hypotheses=()):
         variables,
         hypotheses,
         Relation("x - x <= 0", lambda e: e["x"] - e["x"], "<=", 0.0),
+        orderings=orderings,
     )
 
 
@@ -353,7 +380,7 @@ class TestSplitRule:
         # split there although y's declared range is four times as wide;
         # below, each box picks from its own widths
         system = _undecidable(
-            [Variable("x", 0.0, 1.0), Variable("y", 0.0, 4.0)], [ordering("y", "x")]
+            [Variable("x", 0.0, 1.0), Variable("y", 0.0, 4.0)], orderings=[("y", "x")]
         )
         _, leaves = _leaves(system, ProverConfig(max_depth=2, min_width=0.1), monkeypatch)
         assert leaves == {
@@ -384,8 +411,9 @@ def _diagonal_point():
     return _sys(
         "toy_diagonal_point",
         [Variable("x", 0.0, 1.0), Variable("y", 1.0, 2.0)],
-        [ordering("y", "x")],
+        [],
         Relation("x + y < 2", lambda e: e["x"] + e["y"], "<", 2.0),
+        orderings=[("y", "x")],
     )
 
 
@@ -400,8 +428,9 @@ class TestContraction:
         system = _sys(
             "toy_empty",
             [Variable("x", 0.0, 1.0), Variable("y", 2.0, 3.0)],
-            [ordering("y", "x")],
+            [],
             Relation("x > 5", lambda e: e["x"], ">", 5.0),
+            orderings=[("y", "x")],
         )
         res = prove(system)
         stats = res.stats
@@ -409,19 +438,19 @@ class TestContraction:
         assert (stats.boxes_explored, stats.boxes_pruned, stats.boxes_emptied) == (1, 1, 1)
         assert (stats.evaluations, stats.lanes_evaluated) == (0, 0)
 
-    def test_ordering_is_the_hypothesis_it_declares(self):
-        rel = ordering("y", "x")
-        assert (rel.label, rel.op, rel.bound, rel.cheap, rel.ordered) == (
-            "y <= x", "<=", 0.0, True, ("y", "x"),
-        )
-        assert rel.holds({"x": 1.0, "y": 1.0}) and not rel.holds({"x": 1.0, "y": 1.5})
+    def test_counterexample_must_meet_the_orderings(self):
+        # x + y < 2 fails at both points; only the first meets y <= x
+        system = _diagonal_point()
+        assert confirm_counterexample(system, {"x": 1.0, "y": 1.0})
+        assert not confirm_counterexample(system, {"x": 1.0, "y": 1.5})
 
     def test_unknown_variable_is_refused(self):
         system = _sys(
             "toy_unknown",
             [Variable("x", 0.0, 1.0)],
-            [ordering("y", "x")],
+            [],
             Relation("x > -1", lambda e: e["x"], ">", -1.0),
+            orderings=[("y", "x")],
         )
         with pytest.raises(ContractError):
             prove(system)
@@ -485,7 +514,8 @@ def _unordered_chain():
     # x <= 0.6 prunes boxes whose children the lookahead has built
     return _undecidable(
         [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0), Variable("z", 0.0, 1.0)],
-        [ordering("x", "y"), ordering("y", "z"), Relation("x <= 0.6", lambda e: e["x"], "<=", 0.6)],
+        [Relation("x <= 0.6", lambda e: e["x"], "<=", 0.6)],
+        orderings=[("x", "y"), ("y", "z")],
     )
 
 
@@ -624,7 +654,9 @@ def _leaves_at_max_depth():
 
 def _children_split_across_contracted_widths():
     # the leaves of TestSplitRule's y <= x case
-    system = _undecidable([Variable("x", 0.0, 1.0), Variable("y", 0.0, 4.0)], [ordering("y", "x")])
+    system = _undecidable(
+        [Variable("x", 0.0, 1.0), Variable("y", 0.0, 4.0)], orderings=[("y", "x")]
+    )
     res = prove(system, ProverConfig(max_depth=2, min_width=0.1))
     return _leaf_set(res, system) == {
         ((0.0, 0.25), (0.0, 0.25)),
@@ -634,8 +666,14 @@ def _children_split_across_contracted_widths():
     }
 
 
+def _counterexample_meets_the_orderings():
+    # y > x: x + y < 2 fails, but the point is outside the statement
+    return not engine.confirm_counterexample(_diagonal_point(), {"x": 1.0, "y": 1.5})
+
+
 CHECKS = {
     "boundary counterexample found": _boundary_counterexample_found,
+    "counterexample meets the orderings": _counterexample_meets_the_orderings,
     "NaN midpoints do not disprove": _nan_midpoints_do_not_disprove,
     "LEMMA_TP1 tree pinned": _tp1_tree_is_pinned,
     "leaves at max_depth": _leaves_at_max_depth,
@@ -688,6 +726,13 @@ class TestEngineMutants:
                 "NaN midpoints do not disprove",
             ),
             (
+                _source_mutant(
+                    "confirm_counterexample",
+                    ("for small, big in system.orderings", "for small, big in ()"),
+                ),
+                "counterexample meets the orderings",
+            ),
+            (
                 lambda mp: mp.setattr(engine, "_centre", lambda lo, hi: lo + 0.4 * (hi - lo)),
                 "LEMMA_TP1 tree pinned",
             ),
@@ -721,6 +766,7 @@ class TestEngineMutants:
         ids=[
             "contraction-one-ulp-in",
             "confirm-always-true",
+            "confirm-skips-orderings",
             "midpoint-off-centre",
             "lookahead-counts-pruned-parent",
             "lookahead-splits-uncontracted-parent",
@@ -736,6 +782,29 @@ class TestHelpers:
     def test_relation_rejects_unknown_op(self):
         with pytest.raises(ContractError):
             Relation("bad", lambda e: e["x"], "==", 0.0)
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"max_depth": -1},
+            {"max_depth": 2.5},
+            {"min_width": 0.0},
+            {"min_width": -1e-4},
+            {"min_width": float("nan")},
+            {"min_width": float("inf")},
+        ],
+        ids=[
+            "depth-negative",
+            "depth-fractional",
+            "width-zero",
+            "width-negative",
+            "width-nan",
+            "width-inf",
+        ],
+    )
+    def test_prover_config_refuses_meaningless_limits(self, limits):
+        with pytest.raises(ContractError):
+            ProverConfig(**limits)
 
     def test_variable_rejects_bad_range(self):
         with pytest.raises(ContractError):
