@@ -27,7 +27,8 @@ Four subcommands share one executable:
 Exit codes are the sole success/failure channel; the human-readable reports
 on stdout/stderr are informational.  Every number in documents and SVGs is
 written with 17 significant digits, so parsing one back is bit-exact, and
-the SVG rectangles reuse the document's exact digit strings.
+the SVG rectangles reuse the document's exact digit strings.  Numbers are
+read as ASCII decimals: a '_' or a non-ASCII character in one is refused.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import json
 import math
 import sys
 from typing import Optional, Sequence, TextIO
+
+import numpy as np
 
 from .errors import DiskpackError, InputError, ParseError
 from .geometry import CONSTANTS
@@ -68,28 +71,54 @@ def _fmt(v: float) -> str:
     return f"{v:.16e}"
 
 
+def _rows(fmt: str, *columns: object) -> str:
+    """``fmt`` once per row of the equal-length columns, as one %-format of
+    their interleaved values; each ``%.16e`` in it writes what _fmt writes."""
+    values = np.column_stack(columns).ravel().tolist()
+    return (fmt * len(columns[0])) % tuple(values)
+
+
+def _content(text: str) -> "tuple[list[int], list[str]]":
+    """Line numbers and stripped text of the lines that are neither blank
+    nor '#' comments."""
+    lines = list(map(str.strip, text.splitlines()))
+    lns = [ln for ln, line in enumerate(lines, 1) if line and line[0] != "#"]
+    return lns, [lines[ln - 1] for ln in lns]
+
+
+def _numbers(tokens: "Sequence[str]", kind: type = float) -> list:
+    """``kind`` of every token; ValueError unless each is a plain ASCII decimal.
+
+    float() and int() also read '_' digit separators and non-ASCII digits
+    ('1_0e-1', '\u0661.\u0665'), which no document or instance file means."""
+    joined = " ".join(tokens)
+    if "_" in joined or not joined.isascii():
+        raise ValueError(f"not a plain ASCII decimal: {joined!r}")
+    return list(map(kind, tokens))
+
+
 # ---------------------------------------------------------------------------
 # instance files
 
 
 def parse_instance(text: str) -> Instance:
     """One decimal side per line; '#' comments and blank lines are skipped."""
-    sides: "list[float]" = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            sides.append(float(line))
-        except ValueError:
-            raise ParseError(f"line {ln}: {line!r} is not a decimal number") from None
+    lns, lines = _content(text)
+    try:
+        sides = _numbers(lines)
+    except ValueError:
+        for ln, line in zip(lns, lines):  # name the first line refused
+            try:
+                _numbers([line])
+            except ValueError:
+                raise ParseError(f"line {ln}: {line!r} is not a decimal number") from None
+        raise
     return Instance(tuple(sides))
 
 
 def format_instance(inst: Instance, comment: str = "") -> str:
-    lines = [f"# {comment}"] if comment else []
-    lines += [_fmt(s) for s in inst.sides]
-    return "\n".join(lines) + "\n"
+    head = f"# {comment}\n" if comment else ""
+    return head + _rows("%.16e\n", inst.sides) or "\n"  # no line at all: one blank
 
 
 # ---------------------------------------------------------------------------
@@ -98,35 +127,53 @@ def format_instance(inst: Instance, comment: str = "") -> str:
 
 def format_document(packing: Packing, report: ValidationReport) -> str:
     """Versioned, line-oriented packing document (17-digit round trip)."""
-    lines = [
+    head = [
         _SCHEMA_LINE,
         "container-radius 1",
         f"case {packing.case}",
         f"total-area {_fmt(packing.total_area)}",
         f"placements {len(packing.placements)}",
     ]
-    lines += [
-        f"square {_fmt(x)} {_fmt(y)} {_fmt(s)}"
-        for x, y, s in zip(packing.x.tolist(), packing.y.tolist(), packing.side.tolist())
-    ]
-    lines.append(
+    summary = (
         f"validation {'ok' if report.ok else 'violations'}"
         f" checked={report.checked}"
         f" containment={len(report.containment_violations)}"
         f" overlaps={len(report.overlap_violations)}"
         f" max-corner-norm={_fmt(report.max_corner_norm)}"
     )
-    return "\n".join(lines) + "\n"
+    squares = _rows("square %.16e %.16e %.16e\n", packing.x, packing.y, packing.side)
+    return "\n".join(head) + "\n" + squares + summary + "\n"
 
 
 def _doc_float(token: str, what: str, ln: int) -> float:
     try:
-        v = float(token)
+        (v,) = _numbers([token])
     except ValueError:
         raise ParseError(f"line {ln}: {what} {token!r} is not a number") from None
     if v != v or v in (float("inf"), float("-inf")):
         raise ParseError(f"line {ln}: {what} must be finite, got {token}")
     return v
+
+
+def _square_columns(lines: "list[str]", count: int) -> np.ndarray:
+    """The x, y and side rows of ``count`` lines 'square x y side', read in
+    one pass over the block; ValueError unless the first ``count`` lines
+    are such rows of finite numbers with side > 0."""
+    block = "\n" + "\n".join(lines)
+    toks = block.split()
+    # every line starts with 'square' and every fourth token is one; no
+    # other token can be, as float() refuses it, so each row has 4 tokens
+    if (
+        block.count("\nsquare") != count
+        or len(toks) != 4 * count
+        or toks[0::4].count("square") != count
+    ):
+        raise ValueError("not 'square x y side' rows")
+    del toks[0::4]
+    columns = np.array(_numbers(toks), dtype=np.float64).reshape(count, 3).T
+    if not (np.isfinite(columns).all() and (columns[2] > 0).all()):
+        raise ValueError("a coordinate is not finite or a side not positive")
+    return columns
 
 
 def parse_document(text: str) -> Packing:
@@ -135,29 +182,23 @@ def parse_document(text: str) -> Packing:
     The embedded validation summary is ignored: verification always re-runs
     the geometric checks on the parsed placements.
     """
-    rows = [
-        (ln, line.strip())
-        for ln, line in enumerate(text.splitlines(), 1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if not rows:
+    lns, lines = _content(text)
+    if not lines:
         raise ParseError("empty document")
     pos = 0
 
     def take(prefix: str) -> "tuple[int, list[str]]":
         nonlocal pos
-        if pos >= len(rows):
+        if pos >= len(lines):
             raise ParseError(f"unexpected end of document; expected {prefix!r}")
-        ln, line = rows[pos]
-        fields = line.split()
+        fields = lines[pos].split()
         if fields[0] != prefix:
-            raise ParseError(f"line {ln}: expected {prefix!r}, got {fields[0]!r}")
+            raise ParseError(f"line {lns[pos]}: expected {prefix!r}, got {fields[0]!r}")
         pos += 1
-        return ln, fields[1:]
+        return lns[pos - 1], fields[1:]
 
-    ln, rest = rows[0][0], rows[0][1]
-    if rest != _SCHEMA_LINE:
-        raise ParseError(f"line {ln}: unsupported schema {rest!r}")
+    if lines[0] != _SCHEMA_LINE:
+        raise ParseError(f"line {lns[0]}: unsupported schema {lines[0]!r}")
     pos = 1
     ln, args = take("container-radius")
     if args != ["1"]:
@@ -172,29 +213,30 @@ def parse_document(text: str) -> Packing:
     total_area = _doc_float(args[0], "total-area", ln)
     ln, args = take("placements")
     try:
-        count = int(args[0]) if len(args) == 1 else -1
+        count = _numbers(args, int)[0] if len(args) == 1 else -1
     except ValueError:
         count = -1
     if count < 0:
         raise ParseError(f"line {ln}: placements wants a non-negative count")
-    xs: "list[float]" = []
-    ys: "list[float]" = []
-    sides: "list[float]" = []
-    for _ in range(count):
-        ln, args = take("square")
-        if len(args) != 3:
-            raise ParseError(f"line {ln}: square wants x, y and side")
-        xs.append(_doc_float(args[0], "x", ln))
-        ys.append(_doc_float(args[1], "y", ln))
-        side = _doc_float(args[2], "side", ln)
-        if side <= 0:
-            raise ParseError(f"line {ln}: side must be positive, got {side}")
-        sides.append(side)
-    if pos < len(rows):
-        ln, args = take("validation")  # summary is re-derived, not trusted
-    if pos < len(rows):
-        raise ParseError(f"line {rows[pos][0]}: trailing content")
-    return Packing(xs, ys, sides, case, total_area)
+    try:
+        columns = _square_columns(lines[pos : pos + count], count)
+    except ValueError:
+        for _ in range(count):  # name the first row refused
+            ln, args = take("square")
+            if len(args) != 3:
+                raise ParseError(f"line {ln}: square wants x, y and side")
+            _doc_float(args[0], "x", ln)
+            _doc_float(args[1], "y", ln)
+            side = _doc_float(args[2], "side", ln)
+            if side <= 0:
+                raise ParseError(f"line {ln}: side must be positive, got {side}")
+        raise
+    pos += count
+    if pos < len(lines):
+        take("validation")  # summary is re-derived, not trusted
+    if pos < len(lines):
+        raise ParseError(f"line {lns[pos]}: trailing content")
+    return Packing(*columns, case, total_area)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +250,16 @@ def format_svg(packing: Packing) -> str:
     exactly the digit strings of the document (textual fidelity).  The square
     placed first by the algorithm -- the largest one -- is shaded distinctly.
     """
-    sides = packing.side.tolist()
-    # max keeps the first of equal largest sides, which the packer places first
-    first = max(range(len(sides)), key=sides.__getitem__, default=-1)
-    lines = [
+    rect = '    <rect x="%.16e" y="%.16e" width="%.16e" height="%.16e" fill="{}"/>\n'
+    columns = (packing.x, packing.y, packing.side, packing.side)
+    # argmax keeps the first of equal largest sides, which the packer places first
+    k = int(np.argmax(packing.side)) if len(packing.side) else 0
+    rects = (
+        _rows(rect.format("#93c5fd"), *(c[:k] for c in columns))
+        + _rows(rect.format("#f59e0b"), *(c[k : k + 1] for c in columns))
+        + _rows(rect.format("#93c5fd"), *(c[k + 1 :] for c in columns))
+    )
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.05 -1.05 2.10 2.10"'
         ' width="640" height="640">',
@@ -219,14 +267,7 @@ def format_svg(packing: Packing) -> str:
         ' stroke-width="0.008"/>',
         '  <g transform="scale(1,-1)" stroke="#1f2937" stroke-width="0.004">',
     ]
-    for i, (x, y, s) in enumerate(zip(packing.x.tolist(), packing.y.tolist(), sides)):
-        fill = "#f59e0b" if i == first else "#93c5fd"
-        lines.append(
-            f'    <rect x="{_fmt(x)}" y="{_fmt(y)}"'
-            f' width="{_fmt(s)}" height="{_fmt(s)}" fill="{fill}"/>'
-        )
-    lines += ["  </g>", "</svg>"]
-    return "\n".join(lines) + "\n"
+    return "\n".join(head) + "\n" + rects + "  </g>\n</svg>\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Everything here is built from first principles -- geometric fit predicates
 driven by bisection, high-precision mpmath evaluation of independently
-re-derived expressions, or an exhaustive all-pairs check in place of the
-validator's sweep -- without importing the code under test, so agreement
-between the two is evidence rather than tautology.
+re-derived expressions, an exhaustive all-pairs check in place of the
+validator's sweep, or text read and written one number at a time -- without
+importing the code under test, so agreement between the two is evidence
+rather than tautology.
 
 Coordinate conventions (shared with the library): unit disk centered at the
 origin; the topmost square of side ``s1`` spans ``[-s1/2, s1/2]`` in x with
@@ -18,6 +19,8 @@ import math
 
 import mpmath as mp
 import numpy as np
+
+from diskpack.errors import ParseError
 
 
 def bottom_line(s1: float) -> float:
@@ -192,6 +195,160 @@ def brute_force_validation(
         tall = np.minimum(y2[i], y2[j]) - np.maximum(y[i], y[j]) > 2 * tol
         pairs += [(i, int(k)) for k in j[wide & tall]]
     return escaped, pairs, float(norms.max(initial=0.0))
+
+
+
+# Reference text formats: diskpack.cli's formatters and parsers as they were
+# when each number was written or read by its own call, on plain columns.  The
+# library handles a whole column at a time and must write the same bytes, and
+# accept and refuse the same texts with the same ParseError messages, except
+# that it also refuses '_' and non-ASCII characters in a number
+# (tests/test_cli.py).
+
+
+def _fmt_reference(v: float) -> str:
+    return f"{v:.16e}"
+
+
+def format_instance_reference(sides: "list[float]", comment: str = "") -> str:
+    lines = [f"# {comment}"] if comment else []
+    lines += [_fmt_reference(s) for s in sides]
+    return "\n".join(lines) + "\n"
+
+
+def format_document_reference(
+    xs: "list[float]",
+    ys: "list[float]",
+    sides: "list[float]",
+    case: str,
+    total_area: float,
+    summary: str,
+) -> str:
+    """The document of the columns; ``summary`` is the validation line's text
+    after 'validation '."""
+    lines = [
+        "diskpack-packing 1",
+        "container-radius 1",
+        f"case {case}",
+        f"total-area {_fmt_reference(total_area)}",
+        f"placements {len(sides)}",
+    ]
+    lines += [
+        f"square {_fmt_reference(x)} {_fmt_reference(y)} {_fmt_reference(s)}"
+        for x, y, s in zip(xs, ys, sides)
+    ]
+    lines.append(f"validation {summary}")
+    return "\n".join(lines) + "\n"
+
+
+def format_svg_reference(xs: "list[float]", ys: "list[float]", sides: "list[float]") -> str:
+    first = max(range(len(sides)), key=sides.__getitem__, default=-1)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.05 -1.05 2.10 2.10"'
+        ' width="640" height="640">',
+        '  <circle cx="0" cy="0" r="1" fill="none" stroke="#1f2937"'
+        ' stroke-width="0.008"/>',
+        '  <g transform="scale(1,-1)" stroke="#1f2937" stroke-width="0.004">',
+    ]
+    for i, (x, y, s) in enumerate(zip(xs, ys, sides)):
+        fill = "#f59e0b" if i == first else "#93c5fd"
+        lines.append(
+            f'    <rect x="{_fmt_reference(x)}" y="{_fmt_reference(y)}"'
+            f' width="{_fmt_reference(s)}" height="{_fmt_reference(s)}" fill="{fill}"/>'
+        )
+    lines += ["  </g>", "</svg>"]
+    return "\n".join(lines) + "\n"
+
+
+def parse_instance_reference(text: str) -> "list[float]":
+    """One decimal side per line; '#' comments and blank lines are skipped."""
+    sides: "list[float]" = []
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            sides.append(float(line))
+        except ValueError:
+            raise ParseError(f"line {ln}: {line!r} is not a decimal number") from None
+    return sides
+
+
+def _doc_float_reference(token: str, what: str, ln: int) -> float:
+    try:
+        v = float(token)
+    except ValueError:
+        raise ParseError(f"line {ln}: {what} {token!r} is not a number") from None
+    if v != v or v in (float("inf"), float("-inf")):
+        raise ParseError(f"line {ln}: {what} must be finite, got {token}")
+    return v
+
+
+def parse_document_reference(
+    text: str,
+) -> "tuple[list[float], list[float], list[float], str, float]":
+    """(xs, ys, sides, case, total_area) of a packing document, row by row."""
+    rows = [
+        (ln, line.strip())
+        for ln, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    if not rows:
+        raise ParseError("empty document")
+    pos = 0
+
+    def take(prefix: str) -> "tuple[int, list[str]]":
+        nonlocal pos
+        if pos >= len(rows):
+            raise ParseError(f"unexpected end of document; expected {prefix!r}")
+        ln, line = rows[pos]
+        fields = line.split()
+        if fields[0] != prefix:
+            raise ParseError(f"line {ln}: expected {prefix!r}, got {fields[0]!r}")
+        pos += 1
+        return ln, fields[1:]
+
+    ln, rest = rows[0][0], rows[0][1]
+    if rest != "diskpack-packing 1":
+        raise ParseError(f"line {ln}: unsupported schema {rest!r}")
+    pos = 1
+    ln, args = take("container-radius")
+    if args != ["1"]:
+        raise ParseError(f"line {ln}: only container-radius 1 is supported")
+    ln, args = take("case")
+    if len(args) != 1:
+        raise ParseError(f"line {ln}: case wants one tag")
+    case = args[0]
+    ln, args = take("total-area")
+    if len(args) != 1:
+        raise ParseError(f"line {ln}: total-area wants one number")
+    total_area = _doc_float_reference(args[0], "total-area", ln)
+    ln, args = take("placements")
+    try:
+        count = int(args[0]) if len(args) == 1 else -1
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise ParseError(f"line {ln}: placements wants a non-negative count")
+    xs: "list[float]" = []
+    ys: "list[float]" = []
+    sides: "list[float]" = []
+    for _ in range(count):
+        ln, args = take("square")
+        if len(args) != 3:
+            raise ParseError(f"line {ln}: square wants x, y and side")
+        xs.append(_doc_float_reference(args[0], "x", ln))
+        ys.append(_doc_float_reference(args[1], "y", ln))
+        side = _doc_float_reference(args[2], "side", ln)
+        if side <= 0:
+            raise ParseError(f"line {ln}: side must be positive, got {side}")
+        sides.append(side)
+    if pos < len(rows):
+        ln, args = take("validation")
+    if pos < len(rows):
+        raise ParseError(f"line {rows[pos][0]}: trailing content")
+    return xs, ys, sides, case, total_area
 
 
 if __name__ == "__main__":

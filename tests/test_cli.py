@@ -7,8 +7,10 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
+import oracles
 from diskpack import cli
 from diskpack.cli import (
     EXIT_INPUT,
@@ -24,9 +26,9 @@ from diskpack.cli import (
     parse_document,
     parse_instance,
 )
-from diskpack.errors import ParseError
+from diskpack.errors import InputError, ParseError
 from diskpack.geometry import PlacedSquare
-from diskpack.packer import Instance, Packing, PackResult, validate
+from diskpack.packer import Instance, Packing, PackResult, ValidationReport, validate
 from diskpack.prover import ProofStats, ProverConfig, lemma_catalog, lemma_names, prove
 
 
@@ -111,6 +113,13 @@ class TestDocumentParsing:
         with pytest.raises(ParseError):
             parse_document(truncated)
 
+    def test_rows_of_four_tokens_must_each_be_a_square(self):
+        # 8 tokens on 2 lines, every fourth one 'square', yet no row is x, y, side
+        head = "diskpack-packing 1\ncontainer-radius 1\ncase C3\ntotal-area 0.05\nplacements 2\n"
+        for rows in ("square 0.1 0.1 0.2 square 0.3 0.3\n0.1\n", "square 0.1 0.1\nsquare square 0.2 0.3\n"):
+            with pytest.raises(ParseError, match="^line 6: square wants x, y and side$"):
+                parse_document(head + rows)
+
     def test_validation_summary_not_trusted(self):
         # lying 'validation ok' line on broken geometry: verify re-derives
         placements = [PlacedSquare(0.5, 0.5, 0.9)]
@@ -119,6 +128,254 @@ class TestDocumentParsing:
         forged = text.replace("validation violations", "validation ok")
         packing = parse_document(forged)  # parses fine, summary ignored
         assert not validate(packing.placements, 1e-9).ok
+
+
+class TestPlainNumbers:
+    """Python's float() and int() also read '_' separators and non-ASCII
+    digits; a number in an instance file or a document is ASCII decimal."""
+
+    @pytest.mark.parametrize(
+        "text, ln",
+        [
+            ("1_0e-1\n", 1),
+            ("0.5\n# \u00e9t\u00e9 comments may hold anything_\n\u0661.\u0665\n", 3),
+            ("0.5\n\n0.2\uff15\n", 3),
+        ],
+    )
+    def test_instance_file_refuses_other_spellings(self, tmp_path, capsys, text, ln):
+        with pytest.raises(ParseError, match=f"^line {ln}: .* is not a decimal number$"):
+            parse_instance(text)
+        inst = tmp_path / "inst.txt"
+        inst.write_text(text, encoding="utf-8")
+        assert main(["pack", str(inst), "--out", str(tmp_path / "o.txt")]) == EXIT_INPUT
+        assert f"error: line {ln}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("placements 2", "placements 0_2", "line 5: placements wants a non-negative count"),
+            ("placements 2", "placements \u0662", "line 5: placements wants a non-negative count"),
+            ("total-area ", "total-area 0_", "line 4: total-area '0_"),
+            ("square ", "square 0_", "line 6: x '0_"),
+            (" 2.0000000000000001e-01\nsquare", " 2.0000000000000001e-0\u0661\nsquare", "line 6: side '"),
+        ],
+    )
+    def test_document_refuses_other_spellings(self, tmp_path, capsys, old, new, message):
+        text = _doc([PlacedSquare(-0.1, -0.1, 0.2), PlacedSquare(0.3, 0.3, 0.1)])
+        assert old in text
+        bad = text.replace(old, new, 1)
+        with pytest.raises(ParseError, match="^" + message):
+            parse_document(bad)
+        doc = tmp_path / "doc.txt"
+        doc.write_text(bad, encoding="utf-8")
+        assert main(["verify", str(doc)]) == EXIT_INPUT
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+_ODD_TOKENS = (
+    "nan", "-inf", "inf", "1e309", "-1e309", "-0", "0", "-0.0", "-0.5", "+0.25",
+    ".5", "1.", "1e-400", "5e-324", "NaN", "Infinity", "0x1p0", "1_0", "\u0661.\u0665",
+    "square", "", "2", "-1", "02", "0.1.2",
+)
+
+
+def _bits(values) -> "tuple[int, ...]":
+    return tuple(np.asarray(values, dtype=np.float64).view(np.int64).tolist())
+
+
+def _mutate_lines(rng: random.Random, lines: "list[str]") -> "list[str]":
+    """One random edit of the kinds a damaged or hand-made file shows."""
+    kind = rng.randrange(12)
+    rows = [i for i, line in enumerate(lines) if line.startswith("square")]
+    at = rng.choice(rows) if rows and rng.random() < 0.75 else rng.randrange(len(lines) or 1)
+    if kind == 0 and lines:  # drop, duplicate or split a token
+        toks = lines[at].split(" ")
+        j = rng.randrange(len(toks))
+        edit = rng.randrange(3)
+        if edit == 0:
+            del toks[j]
+        elif edit == 1:
+            toks.insert(j, toks[j])
+        elif len(toks[j]) > 1:
+            cut = rng.randrange(1, len(toks[j]))
+            toks[j : j + 1] = [toks[j][:cut], toks[j][cut:]]
+        lines[at] = " ".join(toks)
+    elif kind == 1 and at + 1 < len(lines):  # move a row boundary
+        toks = lines[at].split(" ") + lines[at + 1].split(" ")
+        cut = rng.randrange(len(toks) + 1)
+        head, tail = toks[:cut], toks[cut:]
+        if rng.random() < 0.5 and head and tail:  # keep the token count
+            tail.insert(0, "square")
+            del head[rng.randrange(len(head))]
+        lines[at : at + 2] = [" ".join(t) for t in (head, tail) if t]
+    elif kind == 2:  # a comment or blank line
+        lines.insert(at, rng.choice(("# note", "", "   ", "\t# x \u00e9", "#")))
+    elif kind == 3 and lines:  # an odd value in place of a number
+        toks = lines[at].split(" ")
+        j = rng.randrange(len(toks))
+        if toks[j][:1] in "0123456789+-.":
+            toks[j] = rng.choice(_ODD_TOKENS)
+        lines[at] = " ".join(toks)
+    elif kind == 4:  # truncated
+        del lines[at:]
+    elif kind == 5:  # trailing content
+        lines.append(rng.choice(("extra line", "validation ok", "square 0 0 1", "# end")))
+    elif kind == 6 and lines:  # other separators
+        sep = rng.choice(("\t", "  ", " \t ", "\u00a0", "\u2003"))
+        lines[at] = lines[at].replace(" ", sep, rng.randrange(1, 4))
+    elif kind == 7 and lines:  # a wrong keyword
+        toks = lines[at].split(" ")
+        toks[0] = rng.choice(("squares", "Square", "square", "validation", "case", "#square"))
+        lines[at] = " ".join(toks)
+    elif kind == 8 and lines:  # a wrong or odd count
+        lines = [
+            "placements " + rng.choice(("-1", "x", "0_2", "2 3", "+2", "02", "", "\u0662"))
+            if ln.startswith("placements") else ln
+            for ln in lines
+        ]
+    elif kind == 9 and lines:  # leading and trailing space
+        lines[at] = rng.choice((" ", "\t", "  ")) + lines[at] + rng.choice(("", " ", "\t"))
+    elif kind == 10 and lines:  # a count one off
+        lines = [
+            f"placements {int(ln.split()[1]) + rng.choice((-1, 1))}"
+            if ln.startswith("placements ") and ln.split()[1:] and ln.split()[1].isdigit()
+            else ln
+            for ln in lines
+        ]
+    elif kind == 11 and lines:  # a whole row duplicated or dropped
+        if rng.random() < 0.5:
+            lines.insert(at, lines[at])
+        else:
+            del lines[at]
+    return lines
+
+
+def _document_outcome(parse, text: str):
+    try:
+        xs, ys, sides, case, total = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc))
+    return (_bits(xs), _bits(ys), _bits(sides), case, _bits([total]))
+
+
+def _library_document(text: str):
+    p = parse_document(text)
+    return p.x, p.y, p.side, p.case, p.total_area
+
+
+def _instance_outcome(parse, text: str):
+    try:
+        sides = parse(text)
+        inst = sides if isinstance(sides, Instance) else Instance(tuple(sides))
+    except ParseError as exc:
+        return ("error", str(exc))
+    except InputError as exc:
+        return ("input", str(exc))
+    return _bits(inst.sides)
+
+
+class TestParsersAgainstReference:
+    """Seeded mutation fuzz: the column-at-a-time parsers against the
+    row-by-row reference (tests/oracles.py).  Outcomes are bit-identical
+    columns, case and total area, or the same ParseError message; the one
+    allowed difference is the refusal of '_' and non-ASCII numbers."""
+
+    @staticmethod
+    def _agree(new, ref, text):
+        if "_" in text or not text.isascii():
+            assert new == ref or new[0] == "error", text
+        else:
+            assert new == ref, text
+
+    def test_documents(self):
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(3000):
+            n = rng.choice((0, 1, 2, 3, 5, 8, 40))
+            xs = [rng.uniform(-1, 1) for _ in range(n)]
+            ys = [rng.choice((rng.uniform(-1, 1), -0.0, 5e-324)) for _ in range(n)]
+            sides = [rng.choice((rng.uniform(1e-3, 1), 5e-324, 1.5)) for _ in range(n)]
+            text = oracles.format_document_reference(
+                xs, ys, sides, "C3", sum(s * s for s in sides), "ok checked=0"
+            )
+            lines = text.split("\n")[:-1]
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                lines = _mutate_lines(rng, lines)
+            newline = "\r\n" if rng.random() < 0.1 else "\n"
+            text = newline.join(lines) + rng.choice((newline, ""))
+            new = _document_outcome(_library_document, text)
+            ref = _document_outcome(oracles.parse_document_reference, text)
+            self._agree(new, ref, text)
+            seen.add(new[0] if isinstance(new[0], str) else "ok")
+        assert seen == {"ok", "error"}
+
+    def test_instances(self):
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(2000):
+            n = rng.choice((0, 1, 2, 5, 30))
+            sides = [rng.choice((rng.uniform(1e-3, 1), 5e-324, 1.7976931348623157e308)) for _ in range(n)]
+            text = oracles.format_instance_reference(sides, rng.choice(("", "demo")))
+            lines = text.split("\n")[:-1]
+            for _ in range(rng.choice((0, 1, 2, 3))):
+                lines = _mutate_lines(rng, lines)
+            newline = "\r\n" if rng.random() < 0.1 else "\n"
+            text = newline.join(lines) + newline
+            new = _instance_outcome(parse_instance, text)
+            ref = _instance_outcome(oracles.parse_instance_reference, text)
+            self._agree(new, ref, text)
+            seen.add(new[0] if new and isinstance(new[0], str) else "ok")
+        assert seen == {"ok", "error", "input"}
+
+
+class TestFormattersAgainstReference:
+    """Every formatter writes the bytes of the per-row f-string reference
+    (tests/oracles.py)."""
+
+    EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+    def _columns(self, n):
+        rng = np.random.default_rng(n)
+        cols = rng.uniform(-1.0, 1.0, (3, n)) * 10.0 ** rng.integers(-300, 300, (3, n))
+        cols[2] = np.abs(cols[2])
+        for j, v in enumerate(self.EXTREMES[: n]):
+            cols[:, j] = v
+        return cols
+
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    def test_instance(self, n):
+        sides = [abs(v) for v in self._columns(n)[2].tolist() if v != 0] or [5e-324] * n
+        for comment in ("", "seed=3 n=4"):
+            got = format_instance(Instance(tuple(sides)), comment)
+            assert got == oracles.format_instance_reference(sides, comment)
+
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    def test_document_and_svg(self, n):
+        x, y, side = self._columns(n)
+        packing = Packing(x, y, side, "C2", 1.5 if n else 0.0)
+        for report in (
+            ValidationReport(True, n, (), (), 0.9999999999999999),
+            ValidationReport(False, n, (0,), ((0, 1),), 1.7976931348623157e308),
+        ):
+            verdict = "ok" if report.ok else "violations"
+            summary = (
+                f"{verdict} checked={n} containment={len(report.containment_violations)}"
+                f" overlaps={len(report.overlap_violations)}"
+                f" max-corner-norm={report.max_corner_norm:.16e}"
+            )
+            assert format_document(packing, report) == oracles.format_document_reference(
+                x.tolist(), y.tolist(), side.tolist(), "C2", packing.total_area, summary
+            )
+        assert format_svg(packing) == oracles.format_svg_reference(
+            x.tolist(), y.tolist(), side.tolist()
+        )
+
+    def test_svg_shades_the_first_of_equal_largest_sides(self):
+        x, y = np.zeros(4), np.zeros(4)
+        side = np.array([0.25, 0.5, 0.5, 0.125])
+        got = format_svg(Packing(x, y, side, "C1", 0.5))
+        assert got == oracles.format_svg_reference(x.tolist(), y.tolist(), side.tolist())
+        assert got.splitlines()[5].endswith('fill="#f59e0b"/>')
 
 
 class TestPackVerifyFlow:
