@@ -93,7 +93,7 @@ def _numbers(tokens: "Sequence[str]", kind: type = float) -> list:
     ('1_0e-1', '\u0661.\u0665'), which no document or instance file means."""
     joined = " ".join(tokens)
     if "_" in joined or not joined.isascii():
-        raise ValueError(f"not a plain ASCII decimal: {joined!r}")
+        raise ValueError("a number holds '_' or a non-ASCII character")
     return list(map(kind, tokens))
 
 
