@@ -3,8 +3,8 @@
 Two families live here:
 
 * ``interval_containment_fuzz`` -- vectorized random workloads over every
-  ``IntervalArray`` operation (with add, sub, mul and square also on lanes
-  near overflow and on subnormal lanes) and the monotone
+  ``IntervalArray`` operation (with add, sub, mul, square and division also
+  on lanes near and past overflow and on subnormal lanes) and the monotone
   ``segment_area_below`` enclosure, checking that the float truth of each lane
   stays inside the computed enclosure (or that the lane is honestly
   poisoned when the operation left its domain), and that sampled lanes
@@ -317,27 +317,40 @@ def interval_containment_fuzz(seed: int, lanes: int) -> "tuple[int, int]":
     tally.checks += lanes
     tally.violations += int(np.count_nonzero(~segment_area_below(outside).poisoned()))
 
-    # Lanes near overflow (|x| from 1e154 to 1e308, where squares and
-    # products leave the doubles) and lanes of subnormals.  A lane may
-    # poison only where its true range reaches past half the largest double
-    # and does not contain zero: a range that contains zero has no end
-    # beyond the doubles on the wrong side.
-    half_max = np.finfo(np.float64).max / 2
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    # Lanes near overflow (|x| from 1e154 to 1e308, where squares, products
+    # and quotients leave the doubles) and lanes of subnormals.  No lane of
+    # finite operands may poison: an end that overflows rounds to the
+    # largest double on the near side and to inf on the far one, and the
+    # exact checks count a wrong-side infinity as a violation.  The scalar
+    # factors and the divisor lanes push the near-overflow lanes past the
+    # largest double and the subnormal ones back to normal magnitudes.
+    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
         for lo_exp, hi_exp in ((154.0, 308.0), (-323.5, -307.6)):
             bx, pbx, sx = _magnitude_lanes(rng, lanes, lo_exp, hi_exp)
             by, pby, sy = _magnitude_lanes(rng, lanes, lo_exp, hi_exp)
-            mx, my = _magnitude(bx), _magnitude(by)
-            sum_clean = (mx + my < half_max) | (sx & sy)
+            every = np.ones(lanes, bool)
             ops = {"add": bx + by, "sub": bx - by, "mul": bx * by, "square": bx.square()}
-            tally.check(ops["add"], pbx + pby, domain_clean=sum_clean)
-            tally.check(ops["sub"], pbx - pby, domain_clean=sum_clean)
-            tally.check(ops["mul"], pbx * pby, domain_clean=(mx * my < half_max) | sx | sy)
-            tally.check(ops["square"], pbx * pbx, domain_clean=(mx * mx < half_max) | sx)
-            tally.check(bx * 1e-300, pbx * 1e-300, domain_clean=np.ones(lanes, bool))
+            tally.check(ops["add"], pbx + pby, domain_clean=every)
+            tally.check(ops["sub"], pbx - pby, domain_clean=every)
+            tally.check(ops["mul"], pbx * pby, domain_clean=every)
+            tally.check(ops["square"], pbx * pbx, domain_clean=every)
+            tally.check(bx * 1e-300, pbx * 1e-300, domain_clean=every)
             sample = rng.choice(lanes, size=min(lanes, 64), replace=False)
             for op, r in ops.items():
                 tally.check_exact(op, r, bx, by, sample)
+            for op, r, c, truth in (
+                ("mul", bx * 1e300, 1e300, pbx * 1e300),
+                ("mul", bx * -1e300, -1e300, pbx * -1e300),
+                ("div", bx / 1e-300, 1e-300, pbx / 1e-300),
+                ("div", bx / -3e-300, -3e-300, pbx / -3e-300),
+            ):
+                tally.check(r, truth, domain_clean=every)
+                tally.check_exact(op, r, bx, c, sample)
+            clean_div = (by.lo > 0.0) | (by.hi < 0.0)
+            q = bx / by
+            tally.check(q, pbx / pby, domain_clean=clean_div)
+            clean = np.flatnonzero(clean_div)
+            tally.check_exact("div", q, bx, by, rng.choice(clean, size=min(clean.size, 64), replace=False))
 
     # Composite expression mixing every op with always-positive denominator.
     w = x.square() + y.square() + 1.0

@@ -15,6 +15,7 @@ its two top corners on the circle, so its bottom edge sits on the line
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import mpmath as mp
@@ -134,14 +135,19 @@ def mp_ell1(s1: "str | float", dps: int = 60) -> mp.mpf:
 
 
 # Reference interval kernels, written the direct way: the outward inflation
-# with a temporary per operation, and the square's ends picked by nested
-# np.where on the lane's sign.  diskpack.iarrays computes them another way
-# and must give the same doubles: the inflation on every non-NaN endpoint,
-# the square on every finite lane but a straddle whose lower end squares
-# past the largest double (tests/test_iarrays.py).  The constants are the
-# library's, written out.
+# that widens arccos, with a temporary per operation, and the square's ends
+# picked by nested np.where on the lane's sign, each end rounded by its own
+# IEEE directed mode.  diskpack.iarrays computes them another way and must
+# give the same doubles: the inflation on every non-NaN endpoint, the square
+# on every finite lane (tests/test_iarrays.py).  The constants are the
+# library's, written out: the inflation margins, and the x86-64 glibc
+# fesetround modes.
 _OUT_REL = 4.440892098500626e-16  # 2 * 2**-52
 _OUT_ABS = 2.2250738585072014e-308  # smallest normal
+_FE_TONEAREST, _FE_DOWNWARD, _FE_UPWARD = 0, 0x400, 0x800
+_fesetround = ctypes.CDLL(None).fesetround
+_fesetround.argtypes = (ctypes.c_int,)
+_fesetround.restype = ctypes.c_int
 
 
 def inflate_down_reference(a: np.ndarray) -> np.ndarray:
@@ -152,20 +158,34 @@ def inflate_up_reference(a: np.ndarray) -> np.ndarray:
     return a + (np.abs(a) * _OUT_REL + _OUT_ABS)
 
 
+def _in_mode(mode: int, fn):
+    try:
+        _fesetround(mode)
+        return fn()
+    finally:
+        _fesetround(_FE_TONEAREST)
+
+
 def square_nested_where_reference(
     lo: np.ndarray, hi: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Outward-rounded interval square by the sign of the lane: [lo^2, hi^2]
-    on lo >= 0, [hi^2, lo^2] on hi <= 0, [0, max(lo^2, hi^2)] on a straddle,
-    where 0.0 * lo^2 is +0.0 on finite lanes and NaN on NaN ones."""
+    """Interval square by the sign of the lane: [lo^2, hi^2] on lo >= 0,
+    [hi^2, lo^2] on hi <= 0, [0, max(lo^2, hi^2)] on a straddle, where
+    0.0 * lo^2 is +0.0 on finite lanes and NaN on NaN ones.  The lower end
+    is computed rounding toward -inf, the upper end toward +inf."""
+    pos = lo >= 0.0
+    neg = hi <= 0.0
+
+    def lower() -> np.ndarray:
+        lo2, hi2 = lo * lo, hi * hi
+        return np.where(pos, lo2, np.where(neg, hi2, 0.0 * lo2))
+
+    def upper() -> np.ndarray:
+        lo2, hi2 = lo * lo, hi * hi
+        return np.where(pos, hi2, np.where(neg, lo2, np.maximum(lo2, hi2)))
+
     with np.errstate(invalid="ignore", over="ignore"):
-        lo2 = lo * lo
-        hi2 = hi * hi
-        pos = lo >= 0.0
-        neg = hi <= 0.0
-        rlo = np.where(pos, lo2, np.where(neg, hi2, 0.0 * lo2))
-        rhi = np.where(pos, hi2, np.where(neg, lo2, np.maximum(lo2, hi2)))
-        return np.maximum(inflate_down_reference(rlo), 0.0), inflate_up_reference(rhi)
+        return _in_mode(_FE_DOWNWARD, lower), _in_mode(_FE_UPWARD, upper)
 
 
 def brute_force_validation(

@@ -8,17 +8,25 @@ against the true real value rather than another float computation.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from diskpack import iarrays
+from diskpack import iarrays, pack, validate
+from diskpack.errors import DiskpackError
 from diskpack.iarrays import IntervalArray, _down, _up
+from diskpack.prover import prove
+from diskpack.prover.catalog import lemma_catalog
 
 from fuzzers import interval_containment_fuzz
 from oracles import inflate_down_reference, inflate_up_reference, square_nested_where_reference
@@ -157,14 +165,14 @@ class TestPoisoning:
         assert not x.cert_gt(-np.inf).any()
 
     def test_lane_nan_at_one_end_certifies_through_the_other(self):
-        # the sum overflows: the lower end inflates to inf - inf = NaN, the
-        # upper end stays inf, which still bounds the real sum from above
-        with np.errstate(all="ignore"):
-            x = IntervalArray(np.array([1e308]), np.array([1.5e308])) + 1e308
-        assert np.isnan(x.lo[0]) and x.hi[0] == np.inf
+        # an operand NaN below: the sum's lower end is NaN, its upper end
+        # 2 + 1 = 3 still bounds every real x + y with x <= 2, y in [0.5, 1]
+        x = lane((np.nan, 2.0)) + lane((0.5, 1.0))
+        assert np.isnan(x.lo[0]) and x.hi[0] == 3.0
         assert x.poisoned().all()
-        assert x.cert_le(np.inf).all()
-        assert not x.cert_lt(np.inf).any()
+        assert Fraction(2) + Fraction(1) <= Fraction(float(x.hi[0]))
+        assert x.cert_le(3.0).all()
+        assert not x.cert_lt(3.0).any()
         assert not x.cert_ge(-np.inf).any()
         assert not x.cert_gt(-np.inf).any()
 
@@ -193,10 +201,6 @@ class TestSquare:
     def test_bit_identical_to_nested_where_on_finite_lanes(self, raw) -> None:
         lo = np.array([min(a, b) for a, b in raw])
         hi = np.array([max(a, b) for a, b in raw])
-        # The one documented difference on finite lanes: a straddle whose
-        # lower end squares past the largest double (TestSquareDifferences).
-        with np.errstate(over="ignore"):
-            assume(not np.any((lo < 0.0) & (hi > 0.0) & np.isinf(lo * lo)))
         ref_lo, ref_hi = square_nested_where_reference(lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):
             r = IntervalArray(lo, hi).square()
@@ -213,8 +217,12 @@ class TestSquare:
 
 
 class TestSquareDifferences:
-    """The two lane shapes on which the magnitude-based square differs from
-    the nested-np.where reference; both are sound."""
+    """Two lane shapes to pin beside the nested-np.where reference: a lane
+    NaN at one end, where the magnitude-based square differs from it (both
+    are sound), and a straddle whose lower end squares past the largest
+    double, where the two now agree.  With the reference's squares rounded
+    to nearest, its 0.0 * lo^2 was 0 * inf = NaN there; rounded toward -inf,
+    lo^2 is the largest double and the product 0."""
 
     def test_half_nan_lane_is_poisoned_at_both_ends(self) -> None:
         lo = np.array([np.nan, -2.0, 2.0, np.nan])
@@ -230,11 +238,10 @@ class TestSquareDifferences:
         lo = np.array([-1e200, -1e200, -1.7976931348623157e308])
         hi = np.array([1.0, 1e200, 5e-324])
         ref_lo, ref_hi = square_nested_where_reference(lo, hi)
-        assert np.isnan(ref_lo).all() and np.isinf(ref_hi).all()
         with np.errstate(over="ignore"):
             r = IntervalArray(lo, hi).square()
-        assert bits(r.lo) == bits(np.zeros(3))
-        assert np.all(r.hi == np.inf)
+        assert bits(r.lo) == bits(ref_lo) == bits(np.zeros(3))
+        assert np.all(r.hi == np.inf) and np.all(ref_hi == np.inf)
 
 
 class TestOneBufferInflation:
@@ -259,59 +266,117 @@ class TestOneBufferInflation:
 
 
 BIG = 1.7976931348623157e308  # largest double
+BOUNDS = (-np.inf, -BIG, -1.0, 0.0, 1.0, BIG, np.inf)
+
+
+def corner_values(op: str, x: "tuple[float, float]", y: "tuple[float, float] | float | None" = None):
+    """op's exact value at every pair of operand ends: a Fraction where the
+    ends are finite, the IEEE result (an infinity) where one is not.  A
+    float y is a point operand."""
+    f = {"add": lambda p, q: p + q, "sub": lambda p, q: p - q, "rsub": lambda p, q: q - p,
+         "mul": lambda p, q: p * q, "div": lambda p, q: p / q,
+         "square": lambda p, q: p * p, "sqrt": lambda p, q: math.sqrt(p)}[op]
+    ys = (0.0,) if y is None else (y, y) if isinstance(y, float) else y
+    out = []
+    for p in x:
+        for q in ys:
+            if op != "sqrt" and math.isfinite(p) and math.isfinite(q):
+                out.append(f(Fraction(p), Fraction(q)))
+            else:
+                out.append(f(p, q))
+    return out
+
+
+def assert_encloses(r: IntervalArray, values) -> None:
+    """The lane holds every value, and no certainty mask excludes one."""
+    lo, hi = float(r.lo[0]), float(r.hi[0])
+    for v in values:
+        assert (lo == -math.inf or Fraction(lo) <= v) if lo != math.inf else v == math.inf, (lo, v)
+        assert (hi == math.inf or v <= Fraction(hi)) if hi != -math.inf else v == -math.inf, (hi, v)
+    for b in BOUNDS:
+        assert not r.cert_le(b)[0] or all(v <= b for v in values), ("le", b)
+        assert not r.cert_lt(b)[0] or all(v < b for v in values), ("lt", b)
+        assert not r.cert_ge(b)[0] or all(v >= b for v in values), ("ge", b)
+        assert not r.cert_gt(b)[0] or all(v > b for v in values), ("gt", b)
+
+
+def case(op: str, x, y=None) -> "tuple[IntervalArray, list]":
+    """op on one-lane operands (pairs; a float y is a scalar operand), and
+    its exact values at their ends."""
+    ix = lane(x)
+    iy = y if y is None or isinstance(y, float) else lane(y)
+    r = {"add": lambda: ix + iy, "sub": lambda: ix - iy, "rsub": lambda: iy - ix,
+         "mul": lambda: ix * iy, "div": lambda: ix / iy,
+         "square": ix.square, "sqrt": ix.sqrt}[op]()
+    return r, corner_values(op, x, y)
 
 
 class TestInfiniteEndpoints:
-    """A computed lower end of +inf or upper end of -inf lies past every
-    double, so no bound it could give is sound: that end must come back
-    NaN, which poisons the lane, never as a bound that excludes the true
-    value.  The other end, where it is not NaN, is the infinity on the
-    true value's side."""
+    """An end whose exact value lies past the largest double keeps a bound.
+    Rounded toward -inf, a finite lower end that overflows is the largest
+    double, and rounded toward +inf the upper end is inf, so the lane is
+    [largest double, inf] (mirrored below); it holds the exact value, checked
+    in rational arithmetic, and no certainty mask excludes it.  An operand
+    end that is itself infinite on the wrong side (a lower end of +inf, an
+    upper end of -inf) stands for that infinity: IEEE arithmetic carries it
+    exactly, and the lane is that infinity at both ends."""
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: lane((1e308, 1.5e308)) + lane((1e308, 1e308)),
-            lambda: lane((1e308, 1.5e308)) + 1e308,
-            lambda: lane((1e308, 1e308)) - lane((-1e308, -1e308)),
-            lambda: lane((1e200, 1e201)) * lane((1e200, 1e200)),
-            lambda: lane((1e200, 1e201)) * 1e200,
-            lambda: lane((1e200, 1e201)) / 1e-200,
-            lambda: lane((1e200, 1e201)).square(),
-            lambda: lane((-1e201, -1e200)).square(),
-            lambda: lane((np.inf, np.inf)) + 0.0,
-            lambda: lane((np.inf, np.inf)) * 2.0,
-            lambda: lane((np.inf, np.inf)).square(),
-            lambda: lane((np.inf, np.inf)).sqrt(),
+            lambda: case("add", (1e308, 1.5e308), (1e308, 1e308)),
+            lambda: case("add", (1e308, 1.5e308), 1e308),
+            lambda: case("sub", (1e308, 1e308), (-1e308, -1e308)),
+            lambda: case("mul", (1e200, 1e201), (1e200, 1e200)),
+            lambda: case("mul", (1e200, 1e201), 1e200),
+            lambda: case("div", (1e200, 1e201), 1e-200),
+            lambda: case("square", (1e200, 1e201)),
+            lambda: case("square", (-1e201, -1e200)),
+            lambda: case("add", (np.inf, np.inf), 0.0),
+            lambda: case("mul", (np.inf, np.inf), 2.0),
+            lambda: case("square", (np.inf, np.inf)),
+            lambda: case("sqrt", (np.inf, np.inf)),
         ],
     )
     def test_lower_end_past_the_largest_double(self, make) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
-            r = make()
-        assert np.isnan(r.lo[0])
-        assert np.isnan(r.hi[0]) or r.hi[0] == np.inf
-        assert not r.cert_gt(-np.inf).any() and not r.cert_le(BIG).any()
+            r, values = make()
+        assert not r.poisoned().any()
+        assert r.lo[0] >= BIG and r.hi[0] == np.inf
+        assert_encloses(r, values)
+        assert not r.cert_le(BIG).any()
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: lane((-1.5e308, -1e308)) - lane((1e308, 1e308)),
-            lambda: lane((-1.5e308, -1e308)) - 1e308,
-            lambda: -1e308 - lane((1e308, 1.5e308)),
-            lambda: lane((-1e201, -1e200)) * lane((1e200, 1e200)),
-            lambda: lane((1e200, 1e201)) * -1e200,
-            lambda: lane((-np.inf, -np.inf)) - 0.0,
-            lambda: lane((-np.inf, -np.inf)) * lane((1.0, 2.0)),
+            lambda: case("sub", (-1.5e308, -1e308), (1e308, 1e308)),
+            lambda: case("sub", (-1.5e308, -1e308), 1e308),
+            lambda: case("rsub", (1e308, 1.5e308), -1e308),
+            lambda: case("mul", (-1e201, -1e200), (1e200, 1e200)),
+            lambda: case("mul", (1e200, 1e201), -1e200),
+            lambda: case("sub", (-np.inf, -np.inf), 0.0),
+            lambda: case("mul", (-np.inf, -np.inf), (1.0, 2.0)),
         ],
     )
     def test_upper_end_past_the_lowest_double(self, make) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
-            r = make()
-        assert np.isnan(r.hi[0])
-        assert np.isnan(r.lo[0]) or r.lo[0] == -np.inf
-        assert not r.cert_lt(np.inf).any() and not r.cert_ge(-BIG).any()
+            r, values = make()
+        assert not r.poisoned().any()
+        assert r.lo[0] == -np.inf and r.hi[0] <= -BIG
+        assert_encloses(r, values)
+        assert not r.cert_ge(-BIG).any()
+
+    def test_overflow_from_finite_operands_stops_at_the_largest_double(self) -> None:
+        with np.errstate(over="ignore"):
+            up = lane((1e308, 1.5e308)) + 1e308
+            down = -1e308 - lane((1e308, 1.5e308))
+            quot = lane((1e10, 2e10)) / lane((1e-300, 1e-300))
+        assert up.lo[0] == BIG and up.hi[0] == np.inf
+        assert down.lo[0] == -np.inf and down.hi[0] == -BIG
+        assert quot.lo[0] == BIG and quot.hi[0] == np.inf
 
     def test_inflation_of_infinities(self) -> None:
+        # arccos's widening; its clamped lanes never reach an infinity
         with np.errstate(over="ignore", invalid="ignore"):
             down = _down(np.array([np.inf, -np.inf, BIG, -BIG]))
             up = _up(np.array([np.inf, -np.inf, BIG, -BIG]))
@@ -329,6 +394,153 @@ class TestInfiniteEndpoints:
             q = lane((1.0, np.inf)) * 2.0
         assert r.lo[0] == -np.inf and r.hi[0] >= 2.0
         assert q.lo[0] <= 2.0 and q.hi[0] == np.inf
+
+
+def rounded_down(q: Fraction) -> float:
+    f = float(q)  # correctly rounded to nearest
+    return f if Fraction(f) <= q else math.nextafter(f, -math.inf)
+
+
+def rounded_up(q: Fraction) -> float:
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+def _random_doubles(rng: np.random.Generator, n: int) -> np.ndarray:
+    # full 53-bit significands across 2^-40 .. 2^40, both signs
+    return rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(-40, 40, n) * rng.choice((-1.0, 1.0), n)
+
+
+class TestDirectedRounding:
+    """Every IEEE operation the layer uses rounds each end exactly: the
+    lower end is the largest double at most the real result, the upper end
+    the smallest at least it, checked in rational arithmetic on point lanes.
+    The lane counts cover NumPy's SIMD loops: a tail alone (1, 7), one full
+    vector (8), a vector and a tail (9), and many vectors (4,099)."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 4099])
+    def test_each_operation_is_rounded_exactly(self, n) -> None:
+        rng = np.random.default_rng(n)
+        a, b = _random_doubles(rng, n), _random_doubles(rng, n)
+        c = float(_random_doubles(rng, 1)[0])
+        x, y = IntervalArray.from_point(a), IntervalArray.from_point(b)
+        fa, fb, fc = [Fraction(v) for v in a.tolist()], [Fraction(v) for v in b.tolist()], Fraction(c)
+        cases = [
+            (x + y, [p + q for p, q in zip(fa, fb)]),
+            (x - y, [p - q for p, q in zip(fa, fb)]),
+            (c - x, [fc - p for p in fa]),
+            (x * y, [p * q for p, q in zip(fa, fb)]),
+            (x * c, [p * fc for p in fa]),
+            (x * -c, [-p * fc for p in fa]),
+            (x / y, [p / q for p, q in zip(fa, fb)]),
+            (x / c, [p / fc for p in fa]),
+            (x / -c, [-p / fc for p in fa]),
+            (x.square(), [p * p for p in fa]),
+        ]
+        for r, exact in cases:
+            assert r.lo.tolist() == [rounded_down(q) for q in exact]
+            assert r.hi.tolist() == [rounded_up(q) for q in exact]
+        root = IntervalArray.from_point(np.abs(a)).sqrt()
+        for lo, hi, p in zip(root.lo.tolist(), root.hi.tolist(), np.abs(a).tolist()):
+            assert Fraction(lo) ** 2 <= Fraction(p) < Fraction(math.nextafter(lo, math.inf)) ** 2
+            assert Fraction(math.nextafter(hi, -math.inf)) ** 2 < Fraction(p) <= Fraction(hi) ** 2
+
+
+_fegetround = ctypes.CDLL(None).fegetround
+_fegetround.argtypes = ()
+_fegetround.restype = ctypes.c_int
+
+
+class TestModeRestored:
+    """Every operation leaves the process in round-to-nearest, also when it
+    raises, so the float code around the interval layer (bisection
+    midpoints, counterexample checks, the packer) runs in the default
+    mode."""
+
+    def test_after_every_operation(self) -> None:
+        x = IntervalArray(np.array([-2.0, 0.5, 1.0]), np.array([-1.0, 3.0, 1.0]))
+        d = IntervalArray(np.array([1.0, 2.0, 3.0]), np.array([2.0, 3.0, 4.0]))
+        u = IntervalArray(np.array([-0.5, 0.0, 0.25]), np.array([0.5, 0.75, 1.0]))
+        ops = [
+            lambda: x + d, lambda: 1.0 + x, lambda: x - d, lambda: 1.0 - x, lambda: -x,
+            lambda: x * d, lambda: x * 3.0, lambda: -3.0 * x, lambda: x / d, lambda: x / 3.0,
+            lambda: x / -3.0, lambda: 1.0 / d, lambda: x.square(), lambda: d.sqrt(),
+            lambda: u.acos(), lambda: x.min_with(d), lambda: x.max_with(1.0),
+        ]
+        assert _fegetround() == iarrays._NEAREST
+        for op in ops:
+            op()
+            assert _fegetround() == iarrays._NEAREST
+
+    def test_after_an_operation_that_raises(self) -> None:
+        big = lane((1e308, 1e308))
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                big + 1e308  # raised inside the window rounding toward -inf
+        assert _fegetround() == iarrays._NEAREST
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                big * lane((2.0, 2.0))
+        assert _fegetround() == iarrays._NEAREST
+        two = IntervalArray(np.zeros(2), np.ones(2))
+        three = IntervalArray(np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError):
+            two + three  # operands do not broadcast
+        assert _fegetround() == iarrays._NEAREST
+
+    def test_after_prove(self) -> None:
+        tp1 = next(s for s in lemma_catalog() if s.name == "LEMMA_TP1")
+        assert prove(tp1).stats.undecided_count == 0
+        assert _fegetround() == iarrays._NEAREST
+
+
+class TestPlatformGuard:
+    """The import-time self-check: where directed rounding is not honoured,
+    interval operations refuse with DiskpackError, and the rest of the
+    library works."""
+
+    def test_check_passes_here_and_rejects_an_ignored_mode(self) -> None:
+        assert iarrays._setround is not iarrays._no_directed_rounding
+        assert iarrays._honours_rounding(iarrays._setround)
+        assert not iarrays._honours_rounding(lambda mode: 0)
+        assert not iarrays._honours_rounding(lambda mode: -1)
+        assert _fegetround() == iarrays._NEAREST
+
+    def test_failed_check_refuses_rounding_operations(self, monkeypatch) -> None:
+        monkeypatch.setattr(iarrays, "_honours_rounding", lambda setround: False)
+        monkeypatch.setattr(iarrays, "_setround", iarrays._select_setround())
+        x = lane((1.0, 2.0))
+        for op in (lambda: x + 1.0, lambda: x - x, lambda: x * x, lambda: x * 2.0,
+                   lambda: x / x, lambda: x / 3.0, lambda: x.square(), lambda: x.sqrt()):
+            with pytest.raises(DiskpackError, match="directed rounding"):
+                op()
+            assert _fegetround() == iarrays._NEAREST
+        assert (-x).lo[0] == -2.0 and x.min_with(0.0).hi[0] == 0.0
+        res = pack([0.5, 0.4, 0.3])
+        assert res.ok and validate(res.packing.placements).ok
+
+    def test_failed_check_at_import_leaves_pack_and_validate_working(self) -> None:
+        # A C library without fesetround, patched in before diskpack loads.
+        script = (
+            "import ctypes, numpy\n"
+            "ctypes.CDLL = lambda *args, **kwargs: object()\n"
+            "import diskpack\n"
+            "from diskpack import iarrays\n"
+            "assert iarrays._setround is iarrays._no_directed_rounding\n"
+            "res = diskpack.pack([0.5, 0.4, 0.3])\n"
+            "assert res.ok and diskpack.validate(res.packing.placements).ok\n"
+            "try:\n"
+            "    diskpack.IntervalArray.from_point([1.0]) + 1.0\n"
+            "except diskpack.DiskpackError as e:\n"
+            "    print('refused:', e)\n"
+        )
+        src = str(Path(iarrays.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("refused: interval arithmetic needs IEEE directed rounding")
 
 
 class TestCertMasks:
@@ -357,17 +569,20 @@ class TestContainmentFuzz:
         assert violations == 0
 
 
-def _unrounded(name, ends=("_down", "_up")):
-    """A mutant: IntervalArray.<name> with the outward roundings `ends`
-    made identities while it runs."""
+def _in_nearest(name, modes=(iarrays._DOWN, iarrays._UP)):
+    """A mutant: IntervalArray.<name> with each directed mode in `modes`
+    replaced by round-to-nearest while it runs."""
 
     def apply(monkeypatch):
         method = getattr(IntervalArray, name)
+        setround = iarrays._setround
+
+        def nearest_for(mode):
+            return setround(iarrays._NEAREST if mode in modes else mode)
 
         def mutant(self, *args):
             with pytest.MonkeyPatch.context() as mp:
-                for end in ends:
-                    mp.setattr(iarrays, end, lambda a: a)
+                mp.setattr(iarrays, "_setround", nearest_for)
                 return method(self, *args)
 
         monkeypatch.setattr(IntervalArray, name, mutant)
@@ -375,8 +590,14 @@ def _unrounded(name, ends=("_down", "_up")):
     return apply
 
 
+def _modes_swapped(monkeypatch):
+    down, up = iarrays._DOWN, iarrays._UP
+    monkeypatch.setattr(iarrays, "_DOWN", up)
+    monkeypatch.setattr(iarrays, "_UP", down)
+
+
 class TestRoundingMutants:
-    """Each mutant of the outward rounding must make criterion 6's fuzz, at
+    """Each mutant of the directed rounding must make criterion 6's fuzz, at
     one seed, report violations (a count, not an exception); the unmutated
     code reports none."""
 
@@ -390,17 +611,17 @@ class TestRoundingMutants:
     @pytest.mark.parametrize(
         "mutant",
         [
-            lambda mp: mp.setattr(iarrays, "_OUT_ABS", 0.0),
-            lambda mp: mp.setattr(iarrays, "_OUT_REL", 0.0),
+            lambda mp: mp.setattr(iarrays, "_setround", lambda mode: 0),
+            _modes_swapped,
             lambda mp: mp.setattr(iarrays, "_ACOS_SLOP", 0),
-            _unrounded("sqrt"),
-            _unrounded("__truediv__"),
-            _unrounded("square", ("_up",)),
-            _unrounded("square", ("_down",)),
+            _in_nearest("sqrt"),
+            _in_nearest("__truediv__"),
+            _in_nearest("square", (iarrays._UP,)),
+            _in_nearest("square", (iarrays._DOWN,)),
         ],
         ids=[
-            "no-absolute-margin",
-            "no-relative-margin",
+            "setround-no-op",
+            "modes-swapped",
             "no-acos-slop",
             "sqrt-unrounded",
             "division-unrounded",
